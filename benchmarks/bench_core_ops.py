@@ -5,7 +5,8 @@ rewiring throughput (the bottleneck the paper optimizes), estimator cost,
 stub-matching construction, and the evaluation suite itself.  The
 threshold-calibration test at the bottom measures, per engine kernel, the
 edge count at which ``freeze + CSR kernel`` breaks even with the pure
-Python path — the data behind
+Python path — and, for rewiring, the attempt budget at which the CSR core
+breaks even — the data behind
 :data:`repro.engine.dispatch.AUTO_KERNEL_THRESHOLDS`.
 """
 
@@ -92,6 +93,17 @@ def test_bench_property_suite(benchmark):
 CALIBRATION_SIZES = (500, 1_000, 2_000, 5_000, 10_000, 20_000, 50_000)
 
 
+#: Rewiring is calibrated on its attempt budget ``rc x |edges|``, over
+#: several coefficients: the CSR core pays construction once and a window
+#: re-derivation per accepted swap, so its break-even budget moves with
+#: the share of attempts accepted, which differs between coefficients at
+#: the same budget.  The paper's rc = 500 is too slow for a calibration
+#: run; budgets stop at the cap below.
+REWIRING_RCS = (1, 5, 10, 50)
+REWIRING_SIZES = (100, 200, 300) + CALIBRATION_SIZES
+REWIRING_MAX_ATTEMPTS = 250_000
+
+
 def _best_of(fn, repeats: int = 3) -> float:
     best = math.inf
     for _ in range(repeats):
@@ -134,17 +146,56 @@ def _metric_cases(graph, csr):
     )
 
 
+def _rewiring_row(base, target, rc: float) -> dict:
+    """Both cores rewiring a copy of ``base`` at ``rc``, construction included."""
+    reports = []
+
+    def rewire(backend):
+        engine = RewiringEngine(base.copy(), target, rng=2, backend=backend)
+        reports.append(engine.run(rc=rc))
+
+    return {
+        "rc": rc,
+        "edges": base.num_edges,
+        "python_seconds": _best_of(lambda: rewire("python")),
+        "csr_seconds": _best_of(lambda: rewire("csr")),
+        "attempts": reports[-1].attempts,
+        "accepted": reports[-1].accepted,
+    }
+
+
+def _rewiring_calibration() -> list[dict]:
+    """Rewiring rows for every size and :data:`REWIRING_RCS` coefficient.
+
+    The pipeline's workload shape: a 2K-constructed graph climbing toward
+    the original's clustering, at every budget within
+    :data:`REWIRING_MAX_ATTEMPTS`.
+    """
+    rows = []
+    for edges in REWIRING_SIZES:
+        graph = _calibration_graph(edges)
+        target = clustering.degree_dependent_clustering(graph)
+        base = generate_2k(graph, rng=7)
+        rows += [
+            _rewiring_row(base, target, rc)
+            for rc in REWIRING_RCS
+            if rc * graph.num_edges <= REWIRING_MAX_ATTEMPTS
+        ]
+    return rows
+
+
 def test_bench_auto_threshold_calibration(results_dir):
-    """Measure the per-kernel freeze break-even point over graph sizes.
+    """Measure the per-kernel break-even point over workload sizes.
 
     Metric kernels are timed warm (snapshot in hand) with the freeze timed
     separately: the dispatch layer caches one snapshot per graph version
     and the evaluation suite shares it across ~:data:`FREEZE_SHARERS`
     kernels, so the relevant break-even charges each kernel a *share* of
-    the freeze (the fresh-freeze numbers are recorded too).  Walks and
-    rewiring are timed end to end with size-proportional work (crawl 10%
-    of nodes; ``rc = 1`` worth of rewiring attempts), construction cost
-    included.  The committed JSON is the provenance of
+    the freeze (the fresh-freeze numbers are recorded too).  Walks are
+    timed end to end with size-proportional work (crawl 10% of nodes),
+    rewiring end to end per coefficient (:func:`_rewiring_calibration`),
+    construction cost included; rewiring's break-even is an attempt
+    budget.  The committed JSON is the provenance of
     ``AUTO_KERNEL_THRESHOLDS`` in ``repro/engine/dispatch.py``.
     """
     measured: dict[str, list[dict]] = {}
@@ -206,21 +257,6 @@ def test_bench_auto_threshold_calibration(results_dir):
             ),
         })
 
-        # the pipeline's workload shape: 2K-constructed graph climbing
-        # toward the original's clustering, one RC unit of attempts
-        target = clustering.degree_dependent_clustering(graph)
-        base = generate_2k(graph, rng=7)
-
-        def rewire(backend):
-            g = base.copy()
-            RewiringEngine(g, target, rng=2, backend=backend).run(rc=1.0)
-
-        measured.setdefault("rewiring", []).append({
-            "edges": m,
-            "python_seconds": _best_of(lambda: rewire("python")),
-            "csr_seconds": _best_of(lambda: rewire("csr")),
-        })
-
     break_even: dict[str, int | None] = {}
     for name, rows in measured.items():
         def total_csr(row):
@@ -231,11 +267,27 @@ def test_bench_auto_threshold_calibration(results_dir):
              if total_csr(row) <= row["python_seconds"]),
             None,
         )
+    rewiring = _rewiring_calibration()
+    rewiring_break_even = {
+        str(rc): next(
+            (row["attempts"] for row in rewiring
+             if row["rc"] == rc and row["csr_seconds"] <= row["python_seconds"]),
+            None,
+        )
+        for rc in REWIRING_RCS
+    }
     payload = {
         "sizes": list(CALIBRATION_SIZES),
         "freeze_sharers": FREEZE_SHARERS,
         "measured": measured,
         "break_even_edges": break_even,
+        "rewiring": {
+            "rcs": list(REWIRING_RCS),
+            "sizes": list(REWIRING_SIZES),
+            "max_attempts": REWIRING_MAX_ATTEMPTS,
+            "measured": rewiring,
+            "break_even_attempts": rewiring_break_even,
+        },
     }
     write_json("bench_core_ops_thresholds.json", payload)
 
@@ -243,6 +295,10 @@ def test_bench_auto_threshold_calibration(results_dir):
              f"{FREEZE_SHARERS} kernels)", "kernel\tbreak-even edges"]
     for name, edges in break_even.items():
         lines.append(f"{name}\t{edges if edges is not None else '> max size'}")
+    lines += ["", "# rewiring break-even per coefficient (construction included)",
+              "rc\tbreak-even attempts"]
+    for rc, attempts in rewiring_break_even.items():
+        lines.append(f"{rc}\t{attempts if attempts is not None else '> max budget'}")
     write_result("bench_core_ops_thresholds.txt", "\n".join(lines))
 
     # the kernels auto routes to the engine must be on the winning side of
@@ -260,10 +316,13 @@ def test_bench_auto_threshold_calibration(results_dir):
         "spectral",
         "paths",
         "betweenness",
-        "rewiring",
     ):
         last = measured[name][-1]
         share = last.get("freeze_seconds", 0.0) / FREEZE_SHARERS
         assert last["csr_seconds"] + share <= last["python_seconds"] * 1.1, (
             name, last,
         )
+    # likewise the csr rewiring core at every coefficient's largest budget
+    for rc in REWIRING_RCS:
+        last = [row for row in rewiring if row["rc"] == rc][-1]
+        assert last["csr_seconds"] <= last["python_seconds"] * 1.1, ("rewiring", last)

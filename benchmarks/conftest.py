@@ -10,7 +10,7 @@ paper scale via environment variables:
     BENCH_RC      rewiring coefficient          (default 10,   paper 500)
 
 Each benchmark writes its formatted output to ``benchmarks/results/`` so
-the regenerated rows survive the run (EXPERIMENTS.md quotes them).
+the regenerated rows survive the run (docs/BENCHMARKS.md describes them).
 """
 
 from __future__ import annotations

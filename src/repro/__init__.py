@@ -20,8 +20,8 @@ Quickstart::
     report = l1_distances(compute_properties(original),
                           compute_properties(result.graph))
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-reproduction of every table and figure in the paper.
+See docs/ARCHITECTURE.md for the system inventory and docs/BENCHMARKS.md
+for the benchmarks that regenerate every table and figure in the paper.
 """
 
 from repro.errors import (

@@ -37,8 +37,8 @@ work across ``repro worker`` agents — start one per listed address with
 coordinator and runs the same repro source tree) — still bit-identical.
 
 Paper-scale settings (runs=10, rc=500, scale=1.0) reproduce the published
-protocol; the defaults here are the faster bench-scale settings recorded in
-EXPERIMENTS.md.
+protocol; the defaults here are faster bench-scale settings (the
+benchmarks' own are listed in docs/BENCHMARKS.md).
 """
 
 from __future__ import annotations

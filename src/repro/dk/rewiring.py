@@ -18,8 +18,8 @@ Gjoka et al. procedure:
   what makes ``R = RC x |candidates|`` attempts tractable.
 
 The number of attempts is ``R = rc x |candidate edges|`` with ``rc = 500``
-in the paper (configurable; the benchmark harness documents its smaller
-values in EXPERIMENTS.md).
+in the paper (configurable; docs/BENCHMARKS.md lists the smaller values
+the benchmarks use).
 
 Backends
 --------
@@ -33,8 +33,11 @@ by ``backend``:
   with every potential accept confirmed by the same scalar scorer, so
   accepted swaps, reports, and the resulting graph match the reference
   for a fixed seed.
-* ``"auto"`` — ``csr`` above the calibrated per-kernel edge threshold
-  (see :mod:`repro.engine.dispatch`), ``python`` otherwise.
+* ``"auto"`` — ``csr`` when the run's attempt budget ``R`` reaches the
+  calibrated rewiring threshold (see :mod:`repro.engine.dispatch`),
+  ``python`` otherwise.  The budget, not the graph's size, decides: the
+  CSR core must pay back its construction and the window it re-derives
+  after every accept, and a run of few attempts never does.
 
 Both cores draw proposals from the shared
 :class:`~repro.engine.rewiring_kernels.ProposalStream` (blocked draws from
@@ -57,7 +60,6 @@ from repro.engine.rewiring_kernels import (
 )
 from repro.graph.multigraph import MultiGraph, Node
 from repro.metrics.clustering import triangles_per_node
-from repro.utils.rng import ensure_rng
 
 Edge = tuple[Node, Node]
 
@@ -96,12 +98,19 @@ class RewiringEngine:
         simple.
     backend:
         ``"auto"`` (default), ``"python"``, or ``"csr"`` — see the module
-        docstring.  Resolved once at construction against the graph's
-        edge count.
+        docstring.  Resolved once, when the core is built: by :meth:`run`
+        against its attempt budget, or by the first earlier read of
+        :attr:`distance` or :meth:`clustering_by_degree` against the
+        default budget ``DEFAULT_REWIRING_COEFFICIENT x |candidates|``.
+        :attr:`backend` names the resolved core (``None`` until then).
     record_trace:
         When true, every accepted swap is appended to :attr:`trace` as an
         ``(x, y, a, b)`` tuple — the backend equivalence tests compare
         these traces across backends.
+
+    The core is built once and never discarded: building one draws a
+    64-bit seed for its proposal stream from ``rng``, so a discarded core
+    would shift every later draw.
     """
 
     def __init__(
@@ -116,32 +125,20 @@ class RewiringEngine:
         record_trace: bool = False,
     ) -> None:
         self.graph = graph
-        self.backend = resolve_backend(
-            backend, size=graph.num_edges, kernel="rewiring"
-        )
+        self.backend: str | None = None
         self.trace: list[tuple[Node, Node, Node, Node]] | None = (
             [] if record_trace else None
         )
-        if self.backend == "csr":
-            self._core = CSRRewiringCore(
-                graph,
-                target_clustering,
-                protected_edges=protected_edges,
-                forbid_loops=forbid_loops,
-                forbid_parallel=forbid_parallel,
-                rng=rng,
-                trace=self.trace,
-            )
-        else:
-            self._core = _PythonRewiringCore(
-                graph,
-                target_clustering,
-                protected_edges=protected_edges,
-                forbid_loops=forbid_loops,
-                forbid_parallel=forbid_parallel,
-                rng=rng,
-                trace=self.trace,
-            )
+        self._target = dict(target_clustering)
+        self._forbid_loops = forbid_loops
+        self._forbid_parallel = forbid_parallel
+        self._rng = rng
+        self._requested = backend
+        self._candidates = initial_candidates(graph, protected_edges or set())
+        # the climb cannot move with fewer than two candidates, and an
+        # all-zero target leaves no distance to normalize by
+        self._climbs = len(self._candidates) >= 2 and sum(self._target.values()) > 0.0
+        self._core: _PythonRewiringCore | CSRRewiringCore | None = None
 
     # ------------------------------------------------------------------
     # public surface
@@ -149,12 +146,12 @@ class RewiringEngine:
     @property
     def distance(self) -> float:
         """Current normalized L1 distance to the target clustering."""
-        return self._core.distance
+        return self._default_core().distance
 
     @property
     def num_candidates(self) -> int:
         """Number of rewireable edges."""
-        return self._core.num_candidates
+        return len(self._candidates)
 
     def run(
         self,
@@ -169,13 +166,50 @@ class RewiringEngine:
         hill climb has effectively converged and the loop exits (a
         practical speedup toward the paper's "scalable restoration" future
         work; disabled by default for protocol fidelity).  Returns a
-        report; the graph is modified in place.
+        report counting the attempts actually performed; the graph is
+        modified in place.
         """
-        return self._core.run(rc, max_attempts, patience)
+        attempts = self._budget(rc, max_attempts)
+        return self._core_for(attempts).run(attempts, patience)
 
     def clustering_by_degree(self) -> dict[int, float]:
         """Current ``{c̄(k)}`` of the graph from the incremental state."""
-        return self._core.clustering_by_degree()
+        return self._default_core().clustering_by_degree()
+
+    # ------------------------------------------------------------------
+    # core selection
+    # ------------------------------------------------------------------
+    def _budget(self, rc: float, max_attempts: int | None) -> int:
+        """Attempts a run performs without patience (0 if it cannot climb)."""
+        if not self._climbs:
+            return 0
+        attempts = int(rc * len(self._candidates))
+        if max_attempts is not None:
+            attempts = min(attempts, max_attempts)
+        return attempts
+
+    def _default_core(self) -> _PythonRewiringCore | CSRRewiringCore:
+        return self._core_for(self._budget(DEFAULT_REWIRING_COEFFICIENT, None))
+
+    def _core_for(self, attempts: int) -> _PythonRewiringCore | CSRRewiringCore:
+        """The core, built on first use for a run of ``attempts``."""
+        if self._core is None:
+            self.backend = resolve_backend(
+                self._requested, size=attempts, kernel="rewiring"
+            )
+            core: type[CSRRewiringCore | _PythonRewiringCore] = (
+                CSRRewiringCore if self.backend == "csr" else _PythonRewiringCore
+            )
+            self._core = core(
+                self.graph,
+                self._target,
+                self._candidates,
+                forbid_loops=self._forbid_loops,
+                forbid_parallel=self._forbid_parallel,
+                rng=self._rng,
+                trace=self.trace,
+            )
+        return self._core
 
 
 class _PythonRewiringCore:
@@ -185,7 +219,7 @@ class _PythonRewiringCore:
         self,
         graph: MultiGraph,
         target_clustering: dict[int, float],
-        protected_edges: set[Edge] | None,
+        candidates: list[Edge],
         forbid_loops: bool,
         forbid_parallel: bool,
         rng: random.Random | int | None,
@@ -195,7 +229,6 @@ class _PythonRewiringCore:
         self.target = dict(target_clustering)
         self.forbid_loops = forbid_loops
         self.forbid_parallel = forbid_parallel
-        self._rng = ensure_rng(rng)
         self._trace = trace
 
         self._degree: dict[Node, int] = graph.degrees()
@@ -211,49 +244,36 @@ class _PythonRewiringCore:
             self._class_tri[k] = self._class_tri.get(k, 0.0) + t
 
         self._norm = sum(self.target.values())
-        self._candidates: list[Edge] = initial_candidates(
-            graph, protected_edges or set()
-        )
+        self._candidates = candidates
         self._distance = normalized_l1_distance(
             self.clustering_by_degree(), self.target, self._norm
         )
-        self._stream = ProposalStream(self._rng, len(self._candidates))
+        self._stream = ProposalStream(rng, len(candidates))
 
     @property
     def distance(self) -> float:
         return self._distance
 
-    @property
-    def num_candidates(self) -> int:
-        return len(self._candidates)
-
-    def run(
-        self, rc: float, max_attempts: int | None, patience: int | None
-    ) -> RewiringReport:
-        n_cand = len(self._candidates)
-        attempts = int(rc * n_cand)
-        if max_attempts is not None:
-            attempts = min(attempts, max_attempts)
+    def run(self, attempts: int, patience: int | None) -> RewiringReport:
         initial = self._distance
         accepted = 0
         performed = 0
         stagnant = 0
-        if n_cand >= 2 and self._norm > 0.0:
-            for _ in range(attempts):
-                performed += 1
-                if self._attempt():
-                    accepted += 1
-                    stagnant = 0
-                else:
-                    stagnant += 1
-                    if patience is not None and stagnant >= patience:
-                        break
+        for _ in range(attempts):
+            performed += 1
+            if self._attempt():
+                accepted += 1
+                stagnant = 0
+            else:
+                stagnant += 1
+                if patience is not None and stagnant >= patience:
+                    break
         return RewiringReport(
-            attempts=performed if patience is not None else attempts,
+            attempts=performed,
             accepted=accepted,
             initial_distance=initial,
             final_distance=self._distance,
-            num_candidates=n_cand,
+            num_candidates=len(self._candidates),
         )
 
     def clustering_by_degree(self) -> dict[int, float]:

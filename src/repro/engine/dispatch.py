@@ -45,18 +45,25 @@ BACKENDS: tuple[str, ...] = ("auto", "python", "csr")
 #: without a calibrated entry in :data:`AUTO_KERNEL_THRESHOLDS`.
 AUTO_EDGE_THRESHOLD = 20_000
 
-#: Per-kernel break-even edge counts, measured by
+#: Per-kernel break-even sizes, measured by
 #: ``benchmarks/bench_core_ops.py::test_bench_auto_threshold_calibration``
 #: (results committed under ``benchmarks/results/bench_core_ops_thresholds``)
-#: and rounded to one significant figure.  The freeze amortizes very
+#: and rounded to one significant figure.  Sizes are edge counts, except
+#: for ``rewiring``, whose size is the run's attempt budget
+#: (``rc x |candidates|``, capped by ``max_attempts``): its work scales
+#: with the budget, not the graph.  The freeze amortizes very
 #: differently per kernel: the JDM kernel beats the dict path almost
 #: immediately, as do neighbor connectivity, shared partners, λ1, and the
 #: BFS-based shortest-path/betweenness pair (whose python sides pay a
 #: per-edge simplify/component prologue every call that the engine serves
 #: from the snapshot's caches); triangle counting and the clustering
 #: aggregates must pay the scipy matrix products; a rewiring run must pay
-#: engine construction (freeze, triangle kernel, candidate arrays) before
-#: its batched windows win; the pure dict degree count is memory-light
+#: back engine construction (freeze, triangle kernel, candidate arrays)
+#: and the window it re-derives after every accepted swap before its
+#: batched windows win (the python core won every calibrated run below
+#: ~10 000 attempts; the CSR core broke even at ~10k-20k attempts at
+#: rc 1 and 50, at 50k-100k at rc 5-10, whose climbs accept a larger
+#: share of their attempts); the pure dict degree count is memory-light
 #: enough that the freeze share only pays off beyond the calibrated range;
 #: and few-walker batched walks pay a fresh freeze per cell in the cost
 #: model, so only large graphs route there automatically — though the
@@ -90,10 +97,10 @@ def resolve_backend(
 
     ``size`` is the workload measure compared against the calibrated
     break-even for ``kernel`` (edge count for graph kernels, walk length
-    for sequence kernels); ``None`` means unknown and resolves to
-    ``python``.  ``kernel`` selects a per-kernel threshold from
-    :data:`AUTO_KERNEL_THRESHOLDS`; unknown or ``None`` kernels fall back
-    to :data:`AUTO_EDGE_THRESHOLD`.
+    for sequence kernels, the attempt budget for ``rewiring``); ``None``
+    means unknown and resolves to ``python``.  ``kernel`` selects a
+    per-kernel threshold from :data:`AUTO_KERNEL_THRESHOLDS`; unknown or
+    ``None`` kernels fall back to :data:`AUTO_EDGE_THRESHOLD`.
     """
     if backend not in BACKENDS:
         raise EngineError(f"unknown backend {backend!r}; expected one of {BACKENDS}")

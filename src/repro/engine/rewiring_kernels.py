@@ -49,7 +49,6 @@ import numpy as np
 from repro.engine.dispatch import ensure_csr
 from repro.engine.kernels import ensure_generator, triangle_count_array
 from repro.graph.multigraph import MultiGraph, Node
-from repro.utils.rng import ensure_rng
 
 Edge = tuple[Node, Node]
 
@@ -292,7 +291,7 @@ class CSRRewiringCore:
         self,
         graph: MultiGraph,
         target_clustering: dict[int, float],
-        protected_edges: set[Edge] | None = None,
+        candidates: list[Edge],
         forbid_loops: bool = True,
         forbid_parallel: bool = True,
         rng: random.Random | int | None = None,
@@ -302,7 +301,6 @@ class CSRRewiringCore:
         self.target = dict(target_clustering)
         self.forbid_loops = forbid_loops
         self.forbid_parallel = forbid_parallel
-        self._rng = ensure_rng(rng)
         self._trace = trace
 
         csr = ensure_csr(graph)
@@ -346,20 +344,20 @@ class CSRRewiringCore:
 
         self._norm = sum(self.target.values())
 
-        pairs = initial_candidates(graph, protected_edges or set())
         index = self._index
+        count = len(candidates)
         self._cand_u = np.fromiter(
-            (index[u] for u, _ in pairs), dtype=np.int64, count=len(pairs)
+            (index[u] for u, _ in candidates), dtype=np.int64, count=count
         )
         self._cand_v = np.fromiter(
-            (index[v] for _, v in pairs), dtype=np.int64, count=len(pairs)
+            (index[v] for _, v in candidates), dtype=np.int64, count=count
         )
 
         self._init_rows(csr)
         self._distance = normalized_l1_distance(
             self.clustering_by_degree(), self.target, self._norm
         )
-        self._stream = ProposalStream(self._rng, len(pairs))
+        self._stream = ProposalStream(rng, count)
 
     # ------------------------------------------------------------------
     # public surface (mirrors the Python core)
@@ -368,11 +366,6 @@ class CSRRewiringCore:
     def distance(self) -> float:
         """Current normalized L1 distance to the target clustering."""
         return self._distance
-
-    @property
-    def num_candidates(self) -> int:
-        """Number of rewireable edges."""
-        return int(self._cand_u.size)
 
     def clustering_by_degree(self) -> dict[int, float]:
         """Current ``{c̄(k)}`` from the incremental per-class state."""
@@ -386,7 +379,7 @@ class CSRRewiringCore:
                 out[k] = 2.0 * tris[ci] / (sizes[ci] * k * (k - 1))
         return out
 
-    def run(self, rc: float, max_attempts: int | None, patience: int | None):
+    def run(self, attempts: int, patience: int | None):
         """The hill climb; same contract as the Python core's ``run``.
 
         Attempts are processed in stream-block windows.  A window is
@@ -398,11 +391,12 @@ class CSRRewiringCore:
 
         Parameters
         ----------
-        rc:
-            Rewiring coefficient: the budget is ``rc x |candidates|``
-            attempts (the paper's ``R``, with ``RC = 500`` at paper scale).
-        max_attempts:
-            Hard cap on attempts, ``None`` for no cap.
+        attempts:
+            The budget: ``rc x |candidates|`` attempts (the paper's ``R``)
+            capped by ``max_attempts``, worked out by
+            :class:`~repro.dk.rewiring.RewiringEngine`, which passes 0
+            when the climb cannot move (fewer than two candidates, or an
+            all-zero target).
         patience:
             Stop after this many consecutive rejections, ``None`` to run
             the full budget.
@@ -416,146 +410,141 @@ class CSRRewiringCore:
         """
         from repro.dk.rewiring import RewiringReport
 
-        n_cand = int(self._cand_u.size)
-        attempts = int(rc * n_cand)
-        if max_attempts is not None:
-            attempts = min(attempts, max_attempts)
         initial = self._distance
         accepted = 0
         performed = 0
         stagnant = 0
         stopped = False
-        if n_cand >= 2 and self._norm > 0.0:
-            # the screened sums are in unnormalized c-bar units (magnitude
-            # O(1) regardless of norm), so the slack needs an absolute
-            # floor: with a tiny norm, SCREEN_EPS * norm alone would drop
-            # below the screen's own float-reordering error and could
-            # silently drop an accept the reference makes
-            thresh = max(SCREEN_EPS * self._norm, 1e-12)
-            K = self._K
-            while performed < attempts and not stopped:
-                want = min(STREAM_BLOCK, attempts - performed)
-                i1, c1, i2, c2 = self._stream.window(want)
-                W = int(i1.size)
-                x, y, a, b, valid, corner = self._orient_and_validate(
-                    i1, c1, i2, c2
+        # the screened sums are in unnormalized c-bar units (magnitude
+        # O(1) regardless of norm), so the slack needs an absolute
+        # floor: with a tiny norm, SCREEN_EPS * norm alone would drop
+        # below the screen's own float-reordering error and could
+        # silently drop an accept the reference makes
+        thresh = max(SCREEN_EPS * self._norm, 1e-12)
+        K = self._K
+        while performed < attempts and not stopped:
+            want = min(STREAM_BLOCK, attempts - performed)
+            i1, c1, i2, c2 = self._stream.window(want)
+            W = int(i1.size)
+            x, y, a, b, valid, corner = self._orient_and_validate(
+                i1, c1, i2, c2
+            )
+            scored = np.zeros(W, dtype=bool)
+            nonzero = np.zeros(W, dtype=bool)
+            cs = np.zeros(W, dtype=np.float64)
+            sidx = np.flatnonzero(valid & ~corner)
+            if sidx.size:
+                uk, uv = self._derive_sparse(
+                    x[sidx], y[sidx], a[sidx], b[sidx], sidx
                 )
-                scored = np.zeros(W, dtype=bool)
-                nonzero = np.zeros(W, dtype=bool)
-                cs = np.zeros(W, dtype=np.float64)
-                sidx = np.flatnonzero(valid & ~corner)
-                if sidx.size:
-                    uk, uv = self._derive_sparse(
-                        x[sidx], y[sidx], a[sidx], b[sidx], sidx
+                rid = uk // K
+                cs += np.bincount(
+                    rid, weights=self._entry_corr(uk, uv), minlength=W
+                )
+                nonzero[rid] = True
+                scored[sidx] = True
+            else:
+                uk = np.zeros(0, dtype=np.int64)
+                uv = np.zeros(0, dtype=np.float64)
+            # rows invalidated by an accept are re-evaluated lazily by
+            # the scalar reference path if and when the scan reaches
+            # them, instead of being eagerly re-derived
+            pending = np.zeros(W, dtype=bool)
+            i12 = np.vstack((i1, i2))
+            nmat = np.vstack((x, y, a, b))
+            interesting = (scored & nonzero & (cs < thresh)) | corner
+            events = np.flatnonzero(interesting).tolist()
+            ei = 0
+            cursor = 0
+            consumed = W
+            while True:
+                while ei < len(events) and events[ei] < cursor:
+                    ei += 1
+                has = ei < len(events)
+                q = events[ei] if has else W
+                gap = q - cursor
+                # the reference stops after the *reject* that lifts the
+                # stagnation count to `patience`, so at least one of the
+                # gap's rejects must be performed even when patience <=
+                # stagnant already (the patience=0 edge case)
+                if patience is not None and gap >= max(
+                    1, patience - stagnant
+                ):
+                    extra = max(1, patience - stagnant)
+                    performed += extra
+                    consumed = cursor + extra
+                    stopped = True
+                    break
+                stagnant += gap
+                performed += gap
+                if not has:
+                    break  # window exhausted; consumed stays W
+                if pending[q]:
+                    evaluated = self._scalar_attempt(
+                        int(i1[q]), float(c1[q]), int(i2[q]), float(c2[q])
                     )
-                    rid = uk // K
-                    cs += np.bincount(
-                        rid, weights=self._entry_corr(uk, uv), minlength=W
+                elif corner[q]:
+                    evaluated = (
+                        (int(x[q]), int(y[q]), int(a[q]), int(b[q]))
+                        + self._scalar_new_distance(
+                            int(x[q]), int(y[q]), int(a[q]), int(b[q])
+                        )
                     )
-                    nonzero[rid] = True
-                    scored[sidx] = True
                 else:
-                    uk = np.zeros(0, dtype=np.int64)
-                    uv = np.zeros(0, dtype=np.float64)
-                # rows invalidated by an accept are re-evaluated lazily by
-                # the scalar reference path if and when the scan reaches
-                # them, instead of being eagerly re-derived
-                pending = np.zeros(W, dtype=bool)
-                i12 = np.vstack((i1, i2))
-                nmat = np.vstack((x, y, a, b))
-                interesting = (scored & nonzero & (cs < thresh)) | corner
-                events = np.flatnonzero(interesting).tolist()
-                ei = 0
-                cursor = 0
-                consumed = W
-                while True:
-                    while ei < len(events) and events[ei] < cursor:
-                        ei += 1
-                    has = ei < len(events)
-                    q = events[ei] if has else W
-                    gap = q - cursor
-                    # the reference stops after the *reject* that lifts the
-                    # stagnation count to `patience`, so at least one of the
-                    # gap's rejects must be performed even when patience <=
-                    # stagnant already (the patience=0 edge case)
-                    if patience is not None and gap >= max(
-                        1, patience - stagnant
-                    ):
-                        extra = max(1, patience - stagnant)
-                        performed += extra
-                        consumed = cursor + extra
+                    lo = np.searchsorted(uk, q * K)
+                    hi = np.searchsorted(uk, (q + 1) * K)
+                    new_dist, class_delta = self._exact_from_entries(
+                        uk[lo:hi] - q * K, uv[lo:hi]
+                    )
+                    evaluated = (
+                        int(x[q]), int(y[q]), int(a[q]), int(b[q]),
+                        new_dist, class_delta,
+                    )
+                performed += 1
+                if evaluated is not None and evaluated[4] < self._distance:
+                    xq, yq, aq, bq, new_dist, class_delta = evaluated
+                    old_tri = {
+                        k: float(self._class_tri[self._cls_by_degree[k]])
+                        for k in class_delta
+                    }
+                    self._commit(
+                        int(i1[q]), int(i2[q]), xq, yq, aq, bq,
+                        new_dist, class_delta,
+                    )
+                    accepted += 1
+                    stagnant = 0
+                    cursor = q + 1
+                    if performed >= attempts or cursor >= W:
+                        consumed = cursor
+                        break
+                    self._patch_window(
+                        q, i12, nmat, xq, yq, aq, bq,
+                        int(i1[q]), int(i2[q]),
+                        scored, pending, cs, uk, uv,
+                        class_delta, old_tri,
+                    )
+                    interesting = (
+                        (scored & nonzero & (cs < thresh))
+                        | corner | pending
+                    )
+                    events = (
+                        cursor + np.flatnonzero(interesting[cursor:])
+                    ).tolist()
+                    ei = 0
+                else:
+                    stagnant += 1
+                    if patience is not None and stagnant >= patience:
+                        consumed = q + 1
                         stopped = True
                         break
-                    stagnant += gap
-                    performed += gap
-                    if not has:
-                        break  # window exhausted; consumed stays W
-                    if pending[q]:
-                        evaluated = self._scalar_attempt(
-                            int(i1[q]), float(c1[q]), int(i2[q]), float(c2[q])
-                        )
-                    elif corner[q]:
-                        evaluated = (
-                            (int(x[q]), int(y[q]), int(a[q]), int(b[q]))
-                            + self._scalar_new_distance(
-                                int(x[q]), int(y[q]), int(a[q]), int(b[q])
-                            )
-                        )
-                    else:
-                        lo = np.searchsorted(uk, q * K)
-                        hi = np.searchsorted(uk, (q + 1) * K)
-                        new_dist, class_delta = self._exact_from_entries(
-                            uk[lo:hi] - q * K, uv[lo:hi]
-                        )
-                        evaluated = (
-                            int(x[q]), int(y[q]), int(a[q]), int(b[q]),
-                            new_dist, class_delta,
-                        )
-                    performed += 1
-                    if evaluated is not None and evaluated[4] < self._distance:
-                        xq, yq, aq, bq, new_dist, class_delta = evaluated
-                        old_tri = {
-                            k: float(self._class_tri[self._cls_by_degree[k]])
-                            for k in class_delta
-                        }
-                        self._commit(
-                            int(i1[q]), int(i2[q]), xq, yq, aq, bq,
-                            new_dist, class_delta,
-                        )
-                        accepted += 1
-                        stagnant = 0
-                        cursor = q + 1
-                        if performed >= attempts or cursor >= W:
-                            consumed = cursor
-                            break
-                        self._patch_window(
-                            q, i12, nmat, xq, yq, aq, bq,
-                            int(i1[q]), int(i2[q]),
-                            scored, pending, cs, uk, uv,
-                            class_delta, old_tri,
-                        )
-                        interesting = (
-                            (scored & nonzero & (cs < thresh))
-                            | corner | pending
-                        )
-                        events = (
-                            cursor + np.flatnonzero(interesting[cursor:])
-                        ).tolist()
-                        ei = 0
-                    else:
-                        stagnant += 1
-                        if patience is not None and stagnant >= patience:
-                            consumed = q + 1
-                            stopped = True
-                            break
-                        cursor = q + 1
-                self._stream.consume(consumed)
+                    cursor = q + 1
+            self._stream.consume(consumed)
         return RewiringReport(
-            attempts=performed if patience is not None else attempts,
+            attempts=performed,
             accepted=accepted,
             initial_distance=initial,
             final_distance=self._distance,
-            num_candidates=n_cand,
+            num_candidates=int(self._cand_u.size),
         )
 
     # ------------------------------------------------------------------

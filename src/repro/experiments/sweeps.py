@@ -17,6 +17,7 @@ and a ``jobs=2`` sweep is bit-identical to ``jobs=1`` on fixed seeds
 
 from __future__ import annotations
 
+import contextlib
 import os
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -151,9 +152,9 @@ def run_sweep(
     ``context`` selects the backend, base seed, evaluation mode, and
     worker count; when omitted, a serial context is built from the grid's
     legacy ``seed`` / ``backend`` fields.  When ``csv_path`` is given, the
-    CSV is rewritten after every completed cell — in deterministic cell
-    order even under a process pool — so a killed sweep loses at most one
-    cell of work.
+    CSV is replaced atomically after every completed cell — in
+    deterministic cell order even under a process pool — so a killed sweep
+    loses at most one cell of work.
     """
     from repro.api.context import RunContext
     from repro.api.run import map_cells
@@ -196,5 +197,17 @@ def best_method_per_cell(results: list[SweepCellResult]) -> dict[str, str]:
 def _write_checkpoint(
     results: list[SweepCellResult], csv_path: str | os.PathLike
 ) -> None:
-    with open(csv_path, "w", encoding="utf-8", newline="") as f:
-        f.write(sweep_to_csv(results))
+    """Replace ``csv_path`` with the sweep so far, atomically.
+
+    The rows go to a sibling ``.tmp`` file that is then renamed over the
+    checkpoint, so a sweep killed or failing mid-write leaves the previous
+    checkpoint whole rather than a truncated file.
+    """
+    tmp_path = f"{os.fspath(csv_path)}.tmp"
+    try:
+        with open(tmp_path, "w", encoding="utf-8", newline="") as f:
+            f.write(sweep_to_csv(results))
+        os.replace(tmp_path, csv_path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp_path)  # left behind only by a failed write

@@ -33,8 +33,8 @@ class TableSettings:
     """Shared sweep knobs for the table experiments.
 
     The paper uses 10 runs, 10% queried (1% for YouTube), and RC = 500.
-    Defaults here are the bench-scale settings recorded in EXPERIMENTS.md;
-    pass paper-scale values for a full run.
+    Defaults here are reduced bench-scale settings; pass paper-scale
+    values for a full run.
 
     ``seed`` and ``backend`` are legacy execution knobs kept as shims:
     without an explicit context they seed the default

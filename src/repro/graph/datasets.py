@@ -11,10 +11,10 @@ node count so the full pipeline runs on a laptop.
 The substitution is faithful for the reproduction because every method under
 test touches the graph only through neighbor queries; relative method
 rankings in the paper are driven by heavy tails plus clustering, both of
-which the stand-ins reproduce (see DESIGN.md section 4).
+which the stand-ins reproduce.
 
-Each entry records the paper's true size next to the stand-in's, so
-EXPERIMENTS.md can report the scale factor explicitly.
+Each entry records the paper's true size next to the stand-in's, so the
+scale factor can be reported explicitly (``repro datasets`` prints both).
 """
 
 from __future__ import annotations

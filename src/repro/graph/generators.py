@@ -1,7 +1,7 @@
 """Synthetic graph generators.
 
 These are the substrate for the dataset substitution documented in
-DESIGN.md section 4: the paper evaluates on seven public social graphs;
+:mod:`repro.graph.datasets`: the paper evaluates on seven public social graphs;
 this environment has no network access, so we synthesize graphs with the
 same qualitative shape (heavy-tailed degrees, high clustering, a single
 giant component) at laptop scale.

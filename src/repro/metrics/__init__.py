@@ -17,7 +17,8 @@ Properties (1)-(7) are local, (8)-(12) global (Section V-B):
 
 Shortest-path properties are computed on the largest connected component
 (as in the paper); exact and source-sampled variants are provided, with the
-experiment harness using sampling above a size threshold (DESIGN.md §4).
+experiment harness using sampling above a size threshold
+(:class:`repro.metrics.suite.EvaluationConfig`).
 """
 
 from repro.metrics.basic import (

@@ -26,8 +26,9 @@ Two backends (the ``backend`` keyword, default ``"python"``):
   calibrated ``AUTO_KERNEL_THRESHOLDS["paths"]`` break-even.
 
 The experiment harness flips to sampling above a configurable node count
-(see :class:`repro.metrics.suite.EvaluationConfig`); the choice is recorded
-in EXPERIMENTS.md.
+(see :class:`repro.metrics.suite.EvaluationConfig`);
+``benchmarks/bench_exact_paths.py`` measures what sampling costs in
+accuracy (docs/BENCHMARKS.md).
 """
 
 from __future__ import annotations

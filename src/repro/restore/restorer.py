@@ -113,8 +113,8 @@ def restore_from_walk(
     protocol evaluates the graph exactly as generated.
 
     ``backend`` selects the rewiring compute backend (``"auto"`` routes
-    large graphs to the vectorized CSR engine, see
-    :class:`~repro.dk.rewiring.RewiringEngine`).
+    runs with large attempt budgets ``rc x |candidates|`` to the
+    vectorized CSR engine, see :class:`~repro.dk.rewiring.RewiringEngine`).
     """
     r = ensure_rng(rng)
     sw = Stopwatch()

@@ -185,13 +185,81 @@ def test_resolve_backend_per_kernel_thresholds():
     )
 
 
-def test_rewiring_engine_backend_resolution():
+def test_rewiring_engine_backend_resolution(social_graph, monkeypatch):
+    # auto keys the rewiring core on the run's attempt budget
+    # (rc x |candidates|, capped by max_attempts), not on the edge count
     from repro.dk.rewiring import RewiringEngine
-    from repro.graph.multigraph import MultiGraph
+    from repro.engine import AUTO_KERNEL_THRESHOLDS
 
-    g = MultiGraph.from_edges([(0, 1), (1, 2), (2, 3)])
-    assert RewiringEngine(g.copy(), {2: 0.5}).backend == "python"  # tiny
-    assert RewiringEngine(g.copy(), {2: 0.5}, backend="csr").backend == "csr"
+    threshold = AUTO_KERNEL_THRESHOLDS["rewiring"]
+    m = social_graph.num_edges
+    assert m < threshold  # the graph's size alone never reaches the threshold
+    target = clustering.degree_dependent_clustering(social_graph)
+    large_rc = 1.5 * threshold / m  # budget 1.5x the threshold
+
+    def resolved(backend="auto", protected_edges=None, **run):
+        engine = RewiringEngine(
+            social_graph.copy(), target, protected_edges=protected_edges,
+            rng=0, backend=backend,
+        )
+        assert engine.backend is None  # chosen by run(), not at construction
+        engine.run(**run)
+        return engine.backend
+
+    assert resolved(rc=1) == "python"
+    assert resolved(rc=large_rc) == "csr"
+    assert resolved(rc=large_rc, max_attempts=threshold - 1) == "python"
+    # protecting half the edges halves the candidates and so the budget
+    canon = sorted({(min(u, v), max(u, v)) for u, v in social_graph.edges()})
+    assert resolved(protected_edges=set(canon[: m // 2]), rc=large_rc) == "python"
+    # an explicit backend and REPRO_BACKEND still win over the budget
+    assert resolved("csr", rc=1) == "csr"
+    assert resolved("python", rc=large_rc) == "python"
+    monkeypatch.setenv("REPRO_BACKEND", "csr")
+    assert resolved(rc=1) == "csr"
+    monkeypatch.setenv("REPRO_BACKEND", "python")
+    assert resolved(rc=large_rc) == "python"
+
+
+def test_rewiring_core_resolved_once(social_graph, monkeypatch):
+    # a read before run() builds the core for the default budget
+    # (500 x |candidates|); later runs reuse it and never resolve again
+    import repro.dk.rewiring as rewiring
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["size"])
+        return resolve_backend(*args, **kwargs)
+
+    monkeypatch.setattr(rewiring, "resolve_backend", counted)
+    target = clustering.degree_dependent_clustering(social_graph)
+    engine = rewiring.RewiringEngine(social_graph.copy(), target, rng=0)
+    initial = engine.distance
+    assert engine.backend == "csr"
+    assert calls == [rewiring.DEFAULT_REWIRING_COEFFICIENT * engine.num_candidates]
+    report = engine.run(rc=1)
+    engine.run(rc=1)
+    assert report.initial_distance == initial
+    assert engine.backend == "csr" and len(calls) == 1
+
+
+@pytest.mark.parametrize("backend", ["python", "csr", "auto"])
+def test_short_circuited_rewiring_reports_no_attempts(backend):
+    # the climb cannot move with an all-zero target or a single candidate:
+    # no attempt is made, so none may be reported, and auto stays on python
+    from repro.dk.rewiring import RewiringEngine
+
+    triangle_tail = [(0, 1), (1, 2), (2, 0), (2, 3)]
+    cases = (
+        (MultiGraph.from_edges(triangle_tail), {2: 0.0, 3: 0.0}),
+        (MultiGraph.from_edges([(0, 1)]), {1: 0.5}),
+    )
+    for graph, target in cases:
+        engine = RewiringEngine(graph, target, rng=1, backend=backend)
+        report = engine.run(rc=10**6)
+        assert (report.attempts, report.accepted) == (0, 0)
+        assert engine.backend == ("python" if backend == "auto" else backend)
 
 
 def test_dispatch_routes_both_backends(social_graph):

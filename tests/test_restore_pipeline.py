@@ -129,6 +129,33 @@ class TestGjokaBaseline:
         assert missing > 0
 
 
+@pytest.mark.parametrize("generate", [restore_from_walk, gjoka_generate])
+def test_auto_rewiring_on_csr_matches_python(walk, generate, monkeypatch):
+    # rc 15 gives 53k (proposed) and 76k (gjoka) attempts, which auto sends
+    # to the csr core although the graphs have ~5k edges.  Its core is
+    # built inside run(), drawing its stream seed from the shared rng at
+    # that point; the restoration must still equal the python core's.
+    import repro.dk.rewiring as rewiring
+
+    resolve = rewiring.resolve_backend
+    chosen = []
+
+    def spy(*args, **kwargs):
+        chosen.append(resolve(*args, **kwargs))
+        return chosen[-1]
+
+    monkeypatch.setattr(rewiring, "resolve_backend", spy)
+    auto = generate(walk, rc=15, rng=31)
+    python = generate(walk, rc=15, rng=31, backend="python")
+    assert chosen == ["csr", "python"]
+    assert auto.rewiring == python.rewiring
+    assert list(auto.graph.nodes()) == list(python.graph.nodes())
+    for u in python.graph.nodes():
+        assert list(auto.graph.neighbor_multiplicities(u).items()) == list(
+            python.graph.neighbor_multiplicities(u).items()
+        )
+
+
 class TestAccuracyOrdering:
     """The paper's headline claim at bench scale: proposed <= gjoka on
     average L1, and both beat raw subgraph sampling."""

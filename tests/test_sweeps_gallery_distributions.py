@@ -59,6 +59,25 @@ class TestSweeps:
         assert len(rows) == 4  # 2 cells x 2 methods
         assert rows[0]["dataset"].startswith("anybeat@")
 
+    def test_failed_checkpoint_write_keeps_previous(self, grid, tmp_path, monkeypatch):
+        import repro.experiments.sweeps as sweeps
+
+        written = []
+
+        def failing_second_write(results):
+            text = sweep_to_csv(results)
+            written.append(text)
+            # a lone surrogate cannot be encoded: the write raises midway
+            return text if len(written) == 1 else text + "\ud800"
+
+        monkeypatch.setattr(sweeps, "sweep_to_csv", failing_second_write)
+        csv_path = tmp_path / "sweep.csv"
+        with pytest.raises(UnicodeEncodeError):
+            run_sweep(grid, csv_path=csv_path)
+        assert len(written) == 2
+        assert csv_path.read_bytes() == written[0].encode("utf-8")
+        assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
+
     def test_best_method_per_cell(self, grid):
         results = run_sweep(grid)
         best = best_method_per_cell(results)
