@@ -1,12 +1,13 @@
 """Single-cell run-level parallelism: the Table V shape under ``--jobs``.
 
-Table V is one (dataset, fraction) cell — the workload where cell-level
-scheduling leaves every worker but one idle.  This bench runs that shape
-twice through ``run_experiment``: once under ``RunContext(jobs=1)`` and
-once under ``RunContext(jobs=2)`` (whose ``"auto"`` granularity resolves
-to ``"run"`` for a single cell), each from a cold dataset/truth cache so
-both sides pay their real end-to-end cost — the parallel side's workers
-each evaluate the cell's truth PropertySet once (per-process memo).
+Table V is one (dataset, fraction) cell — the workload that only a
+run-level work queue can spread: shipped whole, the cell would leave
+every worker but one idle.  This bench runs that shape twice through
+``run_experiment``: once under ``RunContext(jobs=1)`` and once under
+``RunContext(jobs=2)`` (which queues the cell's runs as separate
+work-items), each from a cold dataset/truth cache so both sides pay
+their real end-to-end cost — the parallel side publishes the dataset
+and its truth PropertySet once, parent-side, for its workers.
 
 Two assertions:
 
@@ -102,7 +103,6 @@ def test_bench_cell_parallel(results_dir):
             "scale": SCALE,
             "methods": list(METHODS),
         },
-        "granularity": "run (auto: 1 cell < 2 jobs)",
         "jobs1_seconds": t_serial,
         "jobs2_seconds": t_parallel,
         "speedup": speedup,

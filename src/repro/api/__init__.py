@@ -54,7 +54,6 @@ from repro.experiments.runner import (
     RunRecord,
     aggregate_records,
     clear_truth_cache,
-    execute_cell,
     execute_run,
     run_experiment,
     set_truth_cache_limit,
@@ -105,7 +104,6 @@ __all__ = [
     "RunRecord",
     "aggregate_records",
     "clear_truth_cache",
-    "execute_cell",
     "execute_run",
     "run_experiment",
     "set_truth_cache_limit",

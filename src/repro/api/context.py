@@ -14,9 +14,7 @@ that plumbing into a single immutable value that travels with the work:
   (:mod:`repro.api.executors`),
 * ``workers`` — coordinator addresses for the distributed tier
   (:mod:`repro.api.distributed`); when set, execution shards across
-  ``repro worker`` agents instead of a local pool,
-* ``granularity`` — the unit of parallel work: whole cells, single runs,
-  or ``"auto"`` (run-level when cells alone cannot fill the workers).
+  ``repro worker`` agents instead of a local pool.
 
 Seed-spawning contract
 ----------------------
@@ -51,7 +49,6 @@ if TYPE_CHECKING:  # avoid a runtime cycle: runner imports spawn_seeds
     from repro.experiments.runner import ExperimentConfig
 
 _BACKENDS = ("auto", "python", "csr")
-_GRANULARITIES = ("auto", "cell", "run")
 _U64 = 0xFFFFFFFFFFFFFFFF
 
 
@@ -88,8 +85,9 @@ class RunContext:
         graph size.  On the CSR backend the histogram streams, so the
         (sources × nodes) distance matrix is never materialized.
     jobs:
-        Worker processes for sweep execution; ``1`` runs serially in
-        process.  Either way results arrive in deterministic cell order.
+        Worker processes; ``1`` runs serially in process, more spreads
+        every cell's runs over a pool (:func:`repro.api.run.map_cells`).
+        Either way results arrive in deterministic cell order.
     workers:
         ``"host:port"`` coordinator addresses for multi-host execution,
         one entry per expected ``repro worker`` agent (repeat an address
@@ -101,17 +99,6 @@ class RunContext:
         snapshots, and truth PropertySets through the same per-process
         name-keyed caches local pool workers use, so results stay
         bit-identical.  ``None`` (the default) means local execution.
-    granularity:
-        The unit of work the executor schedules: ``"cell"`` ships whole
-        (dataset, fraction) cells to workers (each does its own
-        ``runs``-round loop), ``"run"`` flattens cells × runs into one
-        work queue so a single cell saturates all workers (the cell's
-        truth :class:`~repro.metrics.suite.PropertySet` is memoized per
-        worker process), and ``"auto"`` — the default — picks run
-        granularity exactly when there are fewer cells than workers (see
-        :meth:`resolve_granularity`).  Aggregation order is fixed by the
-        pre-spawned per-run seed list, so every granularity is
-        bit-identical to the serial loop on fixed seeds.
     shared_memory:
         When true (the default) and ``jobs > 1``, the scheduler publishes
         each distinct dataset's frozen CSR snapshot into shared memory
@@ -136,7 +123,6 @@ class RunContext:
     seed: int = 1
     exact_paths: bool = False
     jobs: int = 1
-    granularity: str = "auto"
     shared_memory: bool = True
     fault_policy: FaultPolicy | None = None
     workers: tuple[str, ...] | None = None
@@ -148,11 +134,6 @@ class RunContext:
             )
         if self.jobs < 1:
             raise ExperimentError(f"jobs must be >= 1, got {self.jobs}")
-        if self.granularity not in _GRANULARITIES:
-            raise ExperimentError(
-                f"unknown granularity {self.granularity!r}; "
-                f"expected one of {_GRANULARITIES}"
-            )
         if self.workers is not None:
             from repro.api.distributed import parse_address
 
@@ -180,36 +161,6 @@ class RunContext:
         if self.workers:
             return len(self.workers)
         return self.jobs
-
-    def for_worker(self) -> "RunContext":
-        """The context a work-item carries into a worker.
-
-        Always single-job and never distributed — a cell executing
-        inside a pool or on a remote agent must not open a nested pool
-        or, worse, its own coordinator.
-        """
-        if self.jobs == 1 and self.workers is None:
-            return self
-        return replace(self, jobs=1, workers=None)
-
-    # ------------------------------------------------------------------
-    # scheduling
-    # ------------------------------------------------------------------
-    def resolve_granularity(self, cells: int) -> str:
-        """The work-item unit for a workload of ``cells`` cells.
-
-        An explicit ``granularity`` always wins.  ``"auto"`` resolves to
-        ``"run"`` only when the cell count alone cannot occupy the
-        parallel capacity (``cells < parallelism`` — the single-cell
-        Table V shape), whether that capacity is local pool processes or
-        remote worker agents; otherwise cells stay the unit, which
-        amortizes the truth PropertySet and per-item overhead best.
-        With ``parallelism == 1`` auto is always ``"cell"`` (fan-out
-        buys nothing in process).
-        """
-        if self.granularity != "auto":
-            return self.granularity
-        return "run" if cells < self.parallelism else "cell"
 
     # ------------------------------------------------------------------
     # seed spawning

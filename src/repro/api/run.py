@@ -1,25 +1,18 @@
-"""The one place cells meet executors: the two-level scheduler.
+"""The one place cells meet executors: a single queue of run work-items.
 
 ``tables``, ``figures``, and ``sweeps`` all reduce to the same step: a
 list of materialized :class:`~repro.experiments.runner.ExperimentConfig`
 cells goes to the context's executor and aggregates stream back in cell
-order.  :func:`map_cells` is that step, at either scheduling granularity:
+order.  :func:`map_cells` is that step.
 
-* **cell** — each work-item is a whole cell
-  (:func:`~repro.experiments.runner.execute_cell`); the worker loops its
-  ``runs`` rounds in process.  Best when cells outnumber workers: the
-  truth PropertySet and all per-item overhead amortize over the cell.
-* **run** — cells × runs flatten into one deterministic work queue of
-  :func:`~repro.experiments.runner.execute_run` items, so even a single
-  cell (the Table V shape) saturates every worker.  Each worker process
-  evaluates a cell's truth PropertySet once (per-process memo) and the
-  records are regrouped per cell in pre-spawned seed order.
-
-``RunContext(granularity="auto")`` picks run granularity exactly when
-there are fewer cells than workers.  Either way results arrive lazily in
-cell order and the deterministic aggregates are bit-identical to the
-serial loop on fixed seeds — the order of float reductions never depends
-on who executed which item.
+The work-item is one run: cells × runs flatten into one deterministic
+queue of :func:`~repro.experiments.runner.execute_run` items, so even a
+single cell (the Table V shape) saturates every worker.  Each worker
+process evaluates a cell's truth PropertySet once (per-process memo) and
+the records are regrouped per cell in pre-spawned seed order.  Results
+arrive lazily in cell order and the deterministic aggregates are
+bit-identical to the serial loop on fixed seeds — the order of float
+reductions never depends on who executed which item.
 """
 
 from __future__ import annotations
@@ -27,15 +20,14 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 from typing import TYPE_CHECKING, Any, TypeVar
 
-from repro.api.executors import Executor, executor_for
+from repro.api.executors import executor_for
 from repro.errors import ExperimentError
+from repro.experiments import runner
 from repro.experiments.runner import (
     ExperimentConfig,
     MethodAggregate,
+    RunRecord,
     aggregate_records,
-    execute_cell,
-    execute_cell_with_stats,
-    execute_run,
     execute_run_with_stats,
     record_worker_truth_stats,
 )
@@ -58,94 +50,25 @@ def map_cells(
     memoize per process).  Yields lazily, so callers can checkpoint after
     each completed cell.
 
-    The context's resolved granularity decides the work-item unit (module
-    docstring); workers always receive a ``jobs=1`` context so a cell
-    executing inside a pool never opens a nested pool.
+    The queue order is (cell 0 run 0, cell 0 run 1, …, cell 1 run 0, …)
+    with run seeds pre-spawned from each cell's seed — the same sequence
+    the serial loop walks — and the executor yields in submission order,
+    so regrouping ``runs`` consecutive records per cell reproduces the
+    serial aggregation operand for operand.  Every cell is configured
+    here, so items carry no context and no worker can open a nested pool
+    or coordinator.
 
     With ``context.shared_memory`` (the default) a pooled run first
     publishes each distinct dataset's frozen snapshot into shared memory
     and computes each distinct evaluation's truth once, parent-side
     (:func:`repro.api.workers.publish_cells`); the pool initializer
-    attaches workers zero-copy.  The publication lives until the result
-    iterator is exhausted (or abandoned) and falls away silently when
-    shared memory is unavailable.  Shared memory is per-host, so a
-    distributed run (``context.workers``) never publishes: remote agents
-    rebuild through their own per-process name-keyed caches, which is
-    bit-identical by contract.
-    """
-    pooled = context.parallelism > 1
-    distributed = context.workers is not None
-    publication = None
-    if pooled and not distributed and context.shared_memory:
-        from repro.api.workers import pool_worker_init, publish_cells
-
-        publication = publish_cells([context.configure(c) for c in cells])
-    if publication is not None:
-        executor = executor_for(
-            context, pool_worker_init, (None, publication.descriptors)
-        )
-    else:
-        executor = executor_for(context)
-    results = _schedule_cells(cells, context, executor, pooled)
-    if publication is None:
-        return results
-    return _close_after(results, publication)
-
-
-def _schedule_cells(
-    cells: Sequence[ExperimentConfig],
-    context: "RunContext",
-    executor: Executor,
-    pooled: bool,
-) -> Iterator[dict[str, MethodAggregate]]:
-    if context.resolve_granularity(len(cells)) == "run":
-        return _map_cells_by_run(cells, context, executor, pooled)
-    if pooled:
-        # workers run in their own processes, so each item also reports
-        # its truth-memo counter delta for the parent's merged stats view
-        items = [(config, context.for_worker()) for config in cells]
-        return _merge_worker_stats(executor.map(execute_cell_with_stats, items))
-    return executor.map(execute_cell, [(config, context) for config in cells])
-
-
-def _close_after(
-    results: Iterator[dict[str, MethodAggregate]],
-    publication: "DatasetPublication",
-) -> Iterator[dict[str, MethodAggregate]]:
-    """Yield through ``results``, unlinking the publication when the
-    iterator finishes or is abandoned (generator close runs the finally;
-    attached workers keep their mappings until they exit)."""
-    try:
-        yield from results
-    finally:
-        publication.close()
-
-
-def _merge_worker_stats(results: Iterator[tuple[_T, Any]]) -> Iterator[_T]:
-    """Unwrap ``(result, truth-stats delta)`` pairs from pooled workers,
-    folding each delta into the parent's merged counters as it arrives."""
-    for result, delta in results:
-        record_worker_truth_stats(delta)
-        yield result
-
-
-def _map_cells_by_run(
-    cells: Sequence[ExperimentConfig],
-    context: "RunContext",
-    executor: Executor,
-    pooled: bool,
-) -> Iterator[dict[str, MethodAggregate]]:
-    """Flatten cells × runs into one work queue; regroup per cell.
-
-    The queue order is (cell 0 run 0, cell 0 run 1, …, cell 1 run 0, …)
-    with run seeds pre-spawned from each cell's seed — the same sequence
-    the serial loop walks — and the executor yields in submission order,
-    so regrouping ``runs`` consecutive records per cell reproduces the
-    serial aggregation operand-for-operand.
-
-    The work-items carry ``None`` for the context slot: every cell is
-    already configured here, so there is nothing left for a worker-side
-    :meth:`~repro.api.context.RunContext.configure` to thread in.
+    attaches workers zero-copy.  Publication happens here, before the
+    first result is asked for, and lives until the result iterator is
+    exhausted (or abandoned); it falls away silently when shared memory
+    is unavailable.  Shared memory is per-host, so a distributed run
+    (``context.workers``) never publishes: remote agents rebuild through
+    their own per-process name-keyed caches, which is bit-identical by
+    contract.
     """
     from repro.api.context import spawn_seeds
 
@@ -154,14 +77,54 @@ def _map_cells_by_run(
         if config.runs < 1:
             raise ExperimentError("need at least one run")
     items = [
-        (config, run_seed, None)
+        (config, run_seed)
         for config in configured
         for run_seed in spawn_seeds(config.seed, config.runs)
     ]
-    if pooled:
-        results = _merge_worker_stats(executor.map(execute_run_with_stats, items))
+    pooled = context.parallelism > 1
+    publication = None
+    if pooled and context.workers is None and context.shared_memory:
+        from repro.api.workers import pool_worker_init, publish_cells
+
+        publication = publish_cells(configured)
+    if publication is not None:
+        executor = executor_for(
+            context, pool_worker_init, (None, publication.descriptors)
+        )
     else:
-        results = executor.map(execute_run, items)
-    for config in configured:
-        records = [next(results) for _ in range(config.runs)]
-        yield aggregate_records(config, records)
+        executor = executor_for(context)
+    records: Iterator[RunRecord]
+    if pooled:
+        # workers run in their own processes, so each item also reports
+        # its truth-memo counter delta for the parent's merged stats view
+        records = _merge_worker_stats(executor.map(execute_run_with_stats, items))
+    else:
+        # through the module at call time, as run_experiment's loop and
+        # the workers' execute_run_with_stats resolve it
+        records = executor.map(runner.execute_run, items)
+    return _regroup(configured, records, publication)
+
+
+def _regroup(
+    configured: list[ExperimentConfig],
+    records: Iterator[RunRecord],
+    publication: "DatasetPublication | None",
+) -> Iterator[dict[str, MethodAggregate]]:
+    """Fold each cell's ``runs`` consecutive records into its aggregates,
+    unlinking the publication when the iterator finishes or is abandoned
+    (generator close runs the finally; attached workers keep their
+    mappings until they exit)."""
+    try:
+        for config in configured:
+            yield aggregate_records(config, [next(records) for _ in range(config.runs)])
+    finally:
+        if publication is not None:
+            publication.close()
+
+
+def _merge_worker_stats(results: Iterator[tuple[_T, Any]]) -> Iterator[_T]:
+    """Unwrap ``(result, truth-stats delta)`` pairs from pooled workers,
+    folding each delta into the parent's merged counters as it arrives."""
+    for result, delta in results:
+        record_worker_truth_stats(delta)
+        yield result

@@ -26,15 +26,15 @@ requests print byte-identical text) and progress/errors on stderr.
 
 Execution is described once per invocation by a
 :class:`repro.api.RunContext` built from the shared flags ``--backend``,
-``--seed``, ``--jobs``, ``--granularity``, and ``--exact-paths`` — every
-experiment command threads that single context instead of re-plumbing
-per-subcommand ``backend=`` / ``seed=`` keywords.  ``--jobs 2`` runs a
-table's datasets (or a sweep's cells, or a single cell's runs when the
-granularity resolves to ``run``) in a process pool with bit-identical
-results to the serial run.  ``--workers h1:p,h2:p`` shards the same
-work across ``repro worker`` agents — start one per listed address with
-``repro worker --connect HOST:PORT`` (any host that can reach the
-coordinator and runs the same repro source tree) — still bit-identical.
+``--seed``, ``--jobs``, and ``--exact-paths`` — every experiment command
+threads that single context instead of re-plumbing per-subcommand
+``backend=`` / ``seed=`` keywords.  ``--jobs 2`` spreads the runs of
+every cell (a table's datasets, a sweep's grid, or table5's single cell)
+over a process pool with bit-identical results to the serial run.
+``--workers h1:p,h2:p`` shards the same work across ``repro worker``
+agents — start one per listed address with ``repro worker --connect
+HOST:PORT`` (any host that can reach the coordinator and runs the same
+repro source tree) — still bit-identical.
 
 Paper-scale settings (runs=10, rc=500, scale=1.0) reproduce the published
 protocol; the defaults here are faster bench-scale settings (the
@@ -123,14 +123,6 @@ def _build_parser() -> argparse.ArgumentParser:
                 help="disable shared-memory dataset snapshots under --jobs "
                 ">= 2 (workers rebuild datasets per process; results are "
                 "bit-identical either way)",
-            )
-            p.add_argument(
-                "--granularity",
-                choices=("auto", "cell", "run"),
-                default="auto",
-                help="parallel work unit: whole cells, single runs, or "
-                "auto (run-level when there are fewer cells than jobs, "
-                "e.g. table5's single cell); any choice is bit-identical",
             )
             p.add_argument(
                 "--workers",
@@ -390,7 +382,6 @@ def _context(args) -> RunContext:
         seed=getattr(args, "seed", 1),
         exact_paths=getattr(args, "exact_paths", False),
         jobs=getattr(args, "jobs", 1),
-        granularity=getattr(args, "granularity", "auto"),
         shared_memory=not getattr(args, "no_shared_memory", False),
         fault_policy=_fault_policy(args),
         workers=workers,

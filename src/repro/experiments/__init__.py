@@ -31,7 +31,6 @@ from repro.experiments.methods import (
 from repro.experiments.runner import (
     ExperimentConfig,
     MethodAggregate,
-    execute_cell,
     run_experiment,
 )
 from repro.experiments.sweeps import (
@@ -49,7 +48,6 @@ __all__ = [
     "run_methods_once",
     "ExperimentConfig",
     "MethodAggregate",
-    "execute_cell",
     "run_experiment",
     "SweepGrid",
     "SweepCellResult",

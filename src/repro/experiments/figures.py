@@ -25,7 +25,6 @@ from repro.experiments.methods import (
 from repro.experiments.runner import ExperimentConfig
 from repro.graph.datasets import FIGURE3_DATASETS, load_dataset
 from repro.metrics.suite import EvaluationConfig
-from repro.utils.deprecation import warn_deprecated
 from repro.utils.rng import ensure_rng
 from repro.viz.layout import fruchterman_reingold_layout
 from repro.viz.svg import save_svg
@@ -38,9 +37,8 @@ if TYPE_CHECKING:
 class Figure3Settings:
     """Sweep knobs for Figure 3 (paper: 1%..10% in 1% steps, 10 runs).
 
-    ``seed`` / ``backend`` are legacy execution knobs; without an explicit
-    context they seed the default :class:`~repro.api.RunContext`, and
-    passing ``backend=`` here is deprecated in favor of the context.
+    ``seed`` seeds the default :class:`~repro.api.RunContext` when
+    :func:`figure3_series` is called without one.
     """
 
     fractions: tuple[float, ...] = tuple(f / 100.0 for f in range(1, 11))
@@ -50,14 +48,6 @@ class Figure3Settings:
     seed: int = 1
     methods: tuple[str, ...] = METHOD_NAMES
     evaluation: EvaluationConfig = field(default_factory=EvaluationConfig)
-    backend: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.backend is not None:
-            warn_deprecated(
-                "Figure3Settings(backend=...) is deprecated; pass "
-                "RunContext(backend=...) as figure3_series' context"
-            )
 
 
 def figure3_series(
@@ -71,7 +61,7 @@ def figure3_series(
 
     s = settings or Figure3Settings()
     if context is None:
-        context = RunContext(backend=s.backend or "auto", seed=s.seed)
+        context = RunContext(seed=s.seed)
 
     grid = [(d, f) for d in datasets for f in s.fractions]
     cells = context.materialize(
@@ -84,7 +74,6 @@ def figure3_series(
             scale=s.scale,
             seed=s.seed,
             evaluation=s.evaluation,
-            backend=s.backend,
         )
         for dataset, fraction in grid
     )

@@ -107,7 +107,7 @@ class MethodAggregate:
 
 @dataclass(frozen=True)
 class RunRecord:
-    """One run's per-method outcome: the picklable run-granularity unit.
+    """One run's per-method outcome: the result of one run work-item.
 
     ``distances`` maps ``method -> {property: L1}``; the timing maps hold
     that run's generation wall-clocks.  A cell is ``runs`` of these in
@@ -133,7 +133,7 @@ _TRUTH_MEMO: OrderedDict[tuple[str, float, EvaluationConfig], PropertySet] = (
 _TRUTH_STATS = {"hits": 0, "misses": 0, "evictions": 0}
 _TRUTH_LIMIT: int | None = None
 
-# Deltas merged back from pool workers (see execute_*_with_stats): each
+# Deltas merged back from pool workers (see truth_stats_delta): each
 # worker's counters live in *its* process, so without this the parent's
 # truth_cache_stats() would read all-zero under jobs > 1 and any
 # cache-hit metric built on it would lie.
@@ -308,14 +308,14 @@ def run_experiment(
     is deterministic for a fixed config regardless of who executes it.
 
     With parallel capacity (``context.jobs > 1`` or a
-    ``context.workers`` agent list, and ``granularity`` resolving to
-    ``"run"`` for this single cell — the ``"auto"`` default does) the
-    ``runs`` rounds fan out over the context's executor as independent
-    :func:`execute_run` work-items; each worker evaluates the cell's
-    truth PropertySet once (per-process memo) and the records are folded
-    in pre-spawned seed order, so the aggregates are bit-identical to the
-    serial loop.  An injected ``original`` graph stays in process — only
-    named datasets are cheap to rebuild worker-side.
+    ``context.workers`` agent list) the ``runs`` rounds fan out over the
+    context's executor as independent :func:`execute_run` work-items
+    (:func:`repro.api.run.map_cells`, the one scheduler); each worker
+    evaluates the cell's truth PropertySet once (per-process memo) and
+    the records are folded in pre-spawned seed order, so the aggregates
+    are bit-identical to the serial loop.  An injected ``original`` graph
+    stays in process — only named datasets are cheap to rebuild
+    worker-side.
     """
     from repro.api.context import spawn_seeds
 
@@ -324,21 +324,16 @@ def run_experiment(
     if context is not None:
         config = context.configure(config)
 
-    if (
-        original is None
-        and context is not None
-        and context.parallelism > 1
-        and context.resolve_granularity(1) == "run"
-    ):
-        # one scheduler: the same run-level queue a sweep would build
+    if original is None and context is not None and context.parallelism > 1:
         from repro.api.run import map_cells
 
-        return next(iter(map_cells([config], context)))
+        (aggregates,) = map_cells([config], context)
+        return aggregates
 
     run_seeds = spawn_seeds(config.seed, config.runs)
     if original is None:
         # same code path as a worker: dataset registry + truth memo
-        records = [execute_run((config, seed, None)) for seed in run_seeds]
+        records = [execute_run((config, seed)) for seed in run_seeds]
     else:
         truth = compute_properties(original, config.evaluation_config())
         records = [
@@ -347,38 +342,19 @@ def run_experiment(
     return aggregate_records(config, records)
 
 
-def execute_cell(
-    payload: tuple[ExperimentConfig, "RunContext"],
-) -> dict[str, MethodAggregate]:
-    """Executor-side cell entry point.
+def execute_run(payload: tuple[ExperimentConfig, int]) -> RunRecord:
+    """Executor-side entry point: one round of one configured cell.
 
-    Takes the (config, context) pair as one picklable payload — this is
-    the function the process-pool workers receive, so it must stay
-    module-level.  The serial executor calls it too, keeping one code
-    path.  The scheduler hands workers a ``jobs=1`` context so a cell
-    executing inside a pool never opens a nested pool.
-    """
-    config, context = payload
-    return run_experiment(config, context=context)
-
-
-def execute_run(
-    payload: tuple[ExperimentConfig, int, "RunContext | None"],
-) -> RunRecord:
-    """Executor-side run entry point: one round of one cell.
-
-    The ``(config, run_seed, context)`` triple is one picklable payload
-    (module-level for the process pool, same as :func:`execute_cell`);
-    ``context`` may be ``None`` when the config is already configured —
-    the run-level scheduler always pre-configures, so it ships ``None``.
-    The dataset comes from the per-process registry and the truth
+    The ``(config, run_seed)`` pair is one picklable payload — this is the
+    function the process-pool workers and remote agents receive, so it
+    must stay module-level; the serial executor and the in-process loop
+    of :func:`run_experiment` call it too, keeping one code path.  The
+    dataset comes from the per-process registry and the truth
     PropertySet from the per-process memo, so a worker pays the exact
     evaluation once per (dataset, scale, evaluation) however many runs it
     executes.
     """
-    config, run_seed, context = payload
-    if context is not None:
-        config = context.configure(config)
+    config, run_seed = payload
     graph, truth = _materialize_cell(config)
     return _run_once(graph, truth, config, run_seed)
 
@@ -414,39 +390,32 @@ def _materialize_cell(config: ExperimentConfig):
     return graph, cell_truth(config, graph)
 
 
-def _truth_stats_delta(fn, payload):
+def truth_stats_delta(fn, payload):
     """Run ``fn(payload)`` and return ``(result, truth-counter delta)``.
 
     The delta is what *this item* added to the process-local counters —
     items execute sequentially within a worker process, so summing the
     deltas of every item a pool ran reproduces the workers' total
     activity exactly, with no double counting however items were
-    distributed."""
+    distributed.  Pooled harness items (:func:`execute_run_with_stats`)
+    and service requests (:func:`repro.service.handlers.run_op`) both
+    report through it; the parent folds each delta into its merged view
+    with :func:`record_worker_truth_stats`, without which
+    ``truth_cache_stats()`` under ``jobs > 1`` reads only the parent's
+    untouched counters.
+    """
     before = dict(_TRUTH_STATS)
     result = fn(payload)
     delta = {name: _TRUTH_STATS[name] - before[name] for name in before}
     return result, delta
 
 
-def execute_cell_with_stats(
-    payload: tuple[ExperimentConfig, "RunContext"],
-) -> tuple[dict[str, MethodAggregate], dict[str, int]]:
-    """:func:`execute_cell` plus this item's truth-memo counter delta.
-
-    The pooled executor path maps this variant so the parent can merge
-    worker-side cache activity back (:func:`record_worker_truth_stats`)
-    — without it, ``truth_cache_stats()`` under ``jobs > 1`` reads only
-    the parent's untouched counters.
-    """
-    return _truth_stats_delta(execute_cell, payload)
-
-
 def execute_run_with_stats(
-    payload: tuple[ExperimentConfig, int, "RunContext | None"],
+    payload: tuple[ExperimentConfig, int],
 ) -> tuple[RunRecord, dict[str, int]]:
-    """:func:`execute_run` plus this item's truth-memo counter delta
-    (the run-granularity twin of :func:`execute_cell_with_stats`)."""
-    return _truth_stats_delta(execute_run, payload)
+    """:func:`execute_run` plus this item's truth-memo counter delta (the
+    work-item pooled executors map)."""
+    return truth_stats_delta(execute_run, payload)
 
 
 def aggregate_records(
@@ -454,11 +423,10 @@ def aggregate_records(
 ) -> dict[str, MethodAggregate]:
     """Fold per-run records (in seed order) into per-method aggregates.
 
-    This is the single aggregation point for every granularity: the
-    serial loop, cell-shipped workers, and the run-level scheduler all
-    produce records in the pre-spawned seed order, so the float
-    reductions here see identical operand sequences — the bit-identity
-    contract.
+    This is the single aggregation point: the serial loop and the run
+    queue of :func:`repro.api.run.map_cells` both produce records in the
+    pre-spawned seed order, so the float reductions here see identical
+    operand sequences — the bit-identity contract.
     """
     return {
         method: _aggregate(

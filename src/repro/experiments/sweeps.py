@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.errors import ExperimentError
-from repro.utils.deprecation import warn_deprecated
 from repro.experiments.methods import METHOD_NAMES
 from repro.experiments.report import results_to_csv
 from repro.experiments.runner import (
@@ -48,10 +47,8 @@ class SweepGrid:
     :class:`~repro.api.RunContext` pins).  The default single-``None``
     axis reproduces existing grids cell for cell.
 
-    ``seed`` and ``backend`` are legacy per-grid execution knobs: when
-    :func:`run_sweep` is called without a context they seed a default
-    :class:`~repro.api.RunContext`; passing ``backend=`` here is
-    deprecated — put it on the context instead.
+    ``seed`` seeds the default :class:`~repro.api.RunContext` when
+    :func:`run_sweep` is called without one.
     """
 
     datasets: tuple[str, ...]
@@ -62,15 +59,7 @@ class SweepGrid:
     scale: float = 1.0
     seed: int = 1
     evaluation: EvaluationConfig = field(default_factory=EvaluationConfig)
-    backend: str | None = None
     fault_policies: tuple[FaultPolicy | None, ...] = (None,)
-
-    def __post_init__(self) -> None:
-        if self.backend is not None:
-            warn_deprecated(
-                "SweepGrid(backend=...) is deprecated; pass "
-                "RunContext(backend=...) to run_sweep instead"
-            )
 
     def cells(
         self, context: "RunContext | None" = None
@@ -78,15 +67,15 @@ class SweepGrid:
         """Yield one :class:`ExperimentConfig` per grid cell.
 
         With a ``context``, every cell carries the context's compute
-        backend (unless the grid pinned one), its evaluation-mode
-        upgrades, and a per-cell seed spawned from the context's base
-        seed; without one, the legacy fields (``seed``, ``backend``) are
-        threaded as-is into every cell.
+        backend, its evaluation-mode upgrades, and a per-cell seed
+        spawned from the context's base seed; without one, the grid's
+        ``seed`` is threaded as-is into every cell.  An empty axis raises
+        :class:`~repro.errors.ExperimentError` rather than yielding no
+        cells.
         """
-        if not self.datasets:
-            raise ExperimentError("sweep needs at least one dataset")
-        if not self.fault_policies:
-            raise ExperimentError("sweep needs at least one fault policy (None = ideal)")
+        for axis in ("datasets", "fractions", "rcs", "fault_policies"):
+            if not getattr(self, axis):
+                raise ExperimentError(f"sweep needs at least one entry in {axis}")
         raw = (
             ExperimentConfig(
                 dataset=dataset,
@@ -97,7 +86,6 @@ class SweepGrid:
                 scale=self.scale,
                 seed=self.seed,
                 evaluation=self.evaluation,
-                backend=self.backend,
                 fault_policy=fault_policy,
             )
             for dataset in self.datasets
@@ -151,16 +139,15 @@ def run_sweep(
 
     ``context`` selects the backend, base seed, evaluation mode, and
     worker count; when omitted, a serial context is built from the grid's
-    legacy ``seed`` / ``backend`` fields.  When ``csv_path`` is given, the
-    CSV is replaced atomically after every completed cell — in
-    deterministic cell order even under a process pool — so a killed sweep
-    loses at most one cell of work.
+    ``seed``.  When ``csv_path`` is given, the CSV is replaced atomically
+    after every completed cell — in deterministic cell order even under a
+    process pool — so a killed sweep loses at most one cell of work.
     """
     from repro.api.context import RunContext
     from repro.api.run import map_cells
 
     if context is None:
-        context = RunContext(backend=grid.backend or "auto", seed=grid.seed)
+        context = RunContext(seed=grid.seed)
     cells = list(grid.cells(context))
 
     results: list[SweepCellResult] = []

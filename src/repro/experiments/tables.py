@@ -22,7 +22,6 @@ from repro.experiments.runner import (
 )
 from repro.graph.datasets import TABLE2_DATASETS, TABLE34_DATASETS, YOUTUBE_DATASET
 from repro.metrics.suite import PROPERTY_LABELS, PROPERTY_NAMES, EvaluationConfig
-from repro.utils.deprecation import warn_deprecated
 
 if TYPE_CHECKING:
     from repro.api.context import RunContext
@@ -36,10 +35,8 @@ class TableSettings:
     Defaults here are reduced bench-scale settings; pass paper-scale
     values for a full run.
 
-    ``seed`` and ``backend`` are legacy execution knobs kept as shims:
-    without an explicit context they seed the default
-    :class:`~repro.api.RunContext`; passing ``backend=`` here is
-    deprecated — put it on the context.
+    ``seed`` seeds the default :class:`~repro.api.RunContext` when a
+    table function is called without one.
     """
 
     runs: int = 3
@@ -49,14 +46,6 @@ class TableSettings:
     seed: int = 1
     evaluation: EvaluationConfig = field(default_factory=EvaluationConfig)
     methods: tuple[str, ...] = METHOD_NAMES
-    backend: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.backend is not None:
-            warn_deprecated(
-                "TableSettings(backend=...) is deprecated; pass "
-                "RunContext(backend=...) as the table function's context"
-            )
 
 
 def _cell(dataset: str, settings: TableSettings, fraction: float | None = None):
@@ -69,17 +58,16 @@ def _cell(dataset: str, settings: TableSettings, fraction: float | None = None):
         scale=settings.scale,
         seed=settings.seed,
         evaluation=settings.evaluation,
-        backend=settings.backend,
     )
 
 
 def _context_for(settings: TableSettings, context: "RunContext | None") -> "RunContext":
-    """The execution context: explicit, or derived from legacy settings."""
+    """The execution context: explicit, or seeded from the settings."""
     from repro.api.context import RunContext
 
     if context is not None:
         return context
-    return RunContext(backend=settings.backend or "auto", seed=settings.seed)
+    return RunContext(seed=settings.seed)
 
 
 def _run_cells(

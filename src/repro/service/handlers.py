@@ -5,7 +5,9 @@ Each handler takes one *normalized* params dict
 ``(payload, truth_delta)``: a JSON-able response payload and the delta
 this item added to the worker process's truth-memo counters (merged back
 parent-side so the server's ``stats`` op reports real cache activity
-under a process pool — the same mechanism the executor layer uses).
+under a process pool — the same
+:func:`~repro.experiments.runner.truth_stats_delta` the executor layer
+uses).
 
 Everything here is module-level so the server can ship work into a
 ``concurrent.futures.ProcessPoolExecutor`` unchanged; the handlers reuse
@@ -23,23 +25,17 @@ from repro.experiments.runner import (
     ExperimentConfig,
     run_experiment,
     shared_dataset_graph,
-    truth_cache_stats,
+    truth_stats_delta,
 )
 from repro.metrics.suite import EvaluationConfig
 from repro.sampling.faults import policy_from_knobs
 from repro.service.protocol import aggregates_to_payload
 
-_STAT_NAMES = ("hits", "misses", "evictions")
-
 
 def run_op(op: str, params: dict) -> tuple[dict, dict]:
     """Dispatch one normalized request to its handler (the single
     function the server submits to its executor)."""
-    before = truth_cache_stats(merged=False)
-    payload = _HANDLERS[op](params)
-    after = truth_cache_stats(merged=False)
-    delta = {name: after[name] - before[name] for name in _STAT_NAMES}
-    return payload, delta
+    return truth_stats_delta(_HANDLERS[op], params)
 
 
 def evaluate_config(params: dict) -> ExperimentConfig:

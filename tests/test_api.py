@@ -21,11 +21,9 @@ from repro.api import (
 )
 from repro.api.executors import MAX_UNYIELDED_FACTOR, PREFETCH_FACTOR
 from repro.errors import ExperimentError
-from repro.experiments.figures import Figure3Settings
 from repro.experiments.report import results_to_csv
 from repro.experiments.runner import ExperimentConfig, run_experiment
 from repro.experiments.sweeps import SweepGrid
-from repro.experiments.tables import TableSettings, format_table2, table2_rows
 from repro.metrics.suite import EvaluationConfig
 
 FAST_EVAL = EvaluationConfig(exact_threshold=200, path_sources=32, betweenness_pivots=16)
@@ -43,21 +41,6 @@ class TestRunContext:
             RunContext(backend="gpu")
         with pytest.raises(ExperimentError):
             RunContext(jobs=0)
-        with pytest.raises(ExperimentError):
-            RunContext(granularity="walk")
-
-    def test_granularity_auto_rule(self):
-        # run-level exactly when cells alone cannot fill the workers
-        ctx = RunContext(jobs=4)
-        assert ctx.resolve_granularity(1) == "run"
-        assert ctx.resolve_granularity(3) == "run"
-        assert ctx.resolve_granularity(4) == "cell"
-        assert ctx.resolve_granularity(10) == "cell"
-        # jobs=1: fan-out buys nothing in process
-        assert RunContext(jobs=1).resolve_granularity(1) == "cell"
-        # explicit choices always win
-        assert RunContext(jobs=4, granularity="cell").resolve_granularity(1) == "cell"
-        assert RunContext(jobs=1, granularity="run").resolve_granularity(9) == "run"
 
     def test_seed_spawning_deterministic(self):
         a = RunContext(seed=9)
@@ -288,12 +271,6 @@ class TestSweepGridBackendThreading:
         # and the backend reaches the per-cell evaluation config
         assert all(c.evaluation_config().backend == "csr" for c in cells)
 
-    def test_grid_pinned_backend_wins(self):
-        with pytest.warns(DeprecationWarning):
-            grid = SweepGrid(datasets=("anybeat",), backend="python")
-        cells = list(grid.cells(RunContext(backend="csr")))
-        assert cells[0].backend == "python"
-
     def test_cells_get_spawned_seeds(self):
         grid = SweepGrid(datasets=("anybeat",), fractions=(0.1, 0.2))
         ctx = RunContext(seed=5)
@@ -357,11 +334,11 @@ class TestSerialParallelEquivalence:
         )
 
 
-class TestRunGranularity:
-    """Run-level fan-out inside a cell: the two-level scheduler's second
-    level must be bit-identical to the serial loop (and to cell-level
-    shipping) because aggregation order is fixed by the pre-spawned run
-    seed list, not by worker timing."""
+class TestRunQueue:
+    """Cells × runs flatten into one queue of run work-items; the pooled
+    aggregates must be bit-identical to the serial loop because
+    aggregation order is fixed by the pre-spawned run seed list, not by
+    worker timing."""
 
     CONFIG = ExperimentConfig(
         dataset="anybeat",
@@ -373,11 +350,9 @@ class TestRunGranularity:
         evaluation=FAST_EVAL,
     )
 
-    def test_single_cell_jobs2_run_granularity_byte_identical_csv(self):
+    def test_single_cell_jobs2_byte_identical_csv(self):
         serial = run_experiment(self.CONFIG, context=RunContext(seed=5))
-        parallel = run_experiment(
-            self.CONFIG, context=RunContext(seed=5, jobs=2, granularity="run")
-        )
+        parallel = run_experiment(self.CONFIG, context=RunContext(seed=5, jobs=2))
         assert results_to_csv(
             {"anybeat": serial}, include_timings=False
         ) == results_to_csv({"anybeat": parallel}, include_timings=False)
@@ -387,17 +362,7 @@ class TestRunGranularity:
             assert serial[method].average_l1 == parallel[method].average_l1
             assert serial[method].std_l1 == parallel[method].std_l1
 
-    def test_auto_resolves_single_cell_to_run_granularity(self):
-        # auto on a single cell behaves exactly like explicit "run"
-        auto = run_experiment(self.CONFIG, context=RunContext(seed=5, jobs=2))
-        explicit = run_experiment(
-            self.CONFIG, context=RunContext(seed=5, jobs=2, granularity="run")
-        )
-        assert results_to_csv(
-            {"anybeat": auto}, include_timings=False
-        ) == results_to_csv({"anybeat": explicit}, include_timings=False)
-
-    def test_mixed_granularity_multi_cell_sweep(self, tmp_path):
+    def test_multi_cell_sweep_jobs2_byte_identical(self, tmp_path):
         grid = SweepGrid(
             datasets=("anybeat",),
             fractions=(0.1, 0.2),
@@ -410,22 +375,16 @@ class TestRunGranularity:
         serial = sweep_to_csv(
             run_sweep(grid, context=RunContext(seed=5)), include_timings=False
         )
-        by_cell = sweep_to_csv(
-            run_sweep(grid, context=RunContext(seed=5, jobs=2, granularity="cell")),
-            include_timings=False,
-        )
-        by_run_csv = tmp_path / "by_run.csv"
-        by_run = sweep_to_csv(
+        parallel_csv = tmp_path / "parallel.csv"
+        parallel = sweep_to_csv(
             run_sweep(
-                grid,
-                csv_path=by_run_csv,
-                context=RunContext(seed=5, jobs=2, granularity="run"),
+                grid, csv_path=parallel_csv, context=RunContext(seed=5, jobs=2)
             ),
             include_timings=False,
         )
-        assert serial == by_cell == by_run
-        # run-granularity checkpointing still streams per completed cell
-        assert by_run_csv.read_text().startswith("dataset,method,")
+        assert serial == parallel
+        # checkpointing still streams per completed cell
+        assert parallel_csv.read_text().startswith("dataset,method,")
 
     def test_injected_graph_stays_serial(self, social_graph):
         # an original= graph cannot be rebuilt worker-side by name; the
@@ -478,7 +437,10 @@ class TestTruthMemo:
         run_experiment(other, context=RunContext(seed=5))
         assert truth_cache_stats()["misses"] == 2
 
-    def test_pooled_execution_aggregates_worker_stats(self):
+    @pytest.mark.parametrize(
+        "fractions", [(0.1,), (0.1, 0.2)], ids=["one-cell", "two-cells"]
+    )
+    def test_pooled_execution_aggregates_worker_stats(self, fractions):
         """Regression: under ``jobs > 1`` the truth memo lives in the
         worker processes, so the parent's own counters stay zero — the
         merged view must fold the per-item worker deltas back instead of
@@ -486,16 +448,22 @@ class TestTruthMemo:
         (``shared_memory=False`` pins the legacy rebuild-per-worker path
         this regression is about; the shared path is covered below.)"""
         clear_truth_cache()
-        run_experiment(
-            self._config(runs=3),
-            context=RunContext(seed=5, jobs=2, shared_memory=False),
+        grid = SweepGrid(
+            datasets=("anybeat",),
+            fractions=fractions,
+            rcs=(3.0,),
+            runs=3,
+            methods=("rw",),
+            scale=0.12,
+            evaluation=FAST_EVAL,
         )
+        run_sweep(grid, context=RunContext(seed=5, jobs=2, shared_memory=False))
         local = truth_cache_stats(merged=False)
         assert local == {"hits": 0, "misses": 0, "evictions": 0}
         merged = truth_cache_stats()
         # every run either computed the cell truth or reused a pooled
-        # worker's memo: the deltas must account for all three runs
-        assert merged["hits"] + merged["misses"] == 3
+        # worker's memo: the deltas must account for all of them
+        assert merged["hits"] + merged["misses"] == 3 * len(fractions)
         assert merged["misses"] >= 1
 
     def test_shared_memory_ships_truth_to_workers(self):
@@ -510,59 +478,6 @@ class TestTruthMemo:
         merged = truth_cache_stats()
         assert merged["misses"] == 1
         assert merged["hits"] >= 3  # one per pooled run, all memo hits
-
-
-class TestDeprecationShims:
-    def test_table_settings_backend_warns_and_forwards(self):
-        with pytest.warns(DeprecationWarning, match="RunContext"):
-            settings = TableSettings(
-                runs=1, rc=3, scale=0.12, methods=("rw",),
-                evaluation=FAST_EVAL, backend="python",
-            )
-        shim = table2_rows(settings, datasets=("anybeat",))
-        via_context = table2_rows(
-            TableSettings(
-                runs=1, rc=3, scale=0.12, methods=("rw",), evaluation=FAST_EVAL
-            ),
-            datasets=("anybeat",),
-            context=RunContext(backend="python"),
-        )
-        assert format_table2(shim) == format_table2(via_context)
-
-    def test_figure3_settings_backend_warns(self):
-        with pytest.warns(DeprecationWarning, match="RunContext"):
-            Figure3Settings(backend="csr")
-
-    def test_sweep_grid_backend_warns(self):
-        with pytest.warns(DeprecationWarning, match="RunContext"):
-            SweepGrid(datasets=("anybeat",), backend="csr")
-
-    def test_default_constructors_do_not_warn(self, recwarn):
-        TableSettings()
-        Figure3Settings()
-        SweepGrid(datasets=("anybeat",))
-        assert not [w for w in recwarn if w.category is DeprecationWarning]
-
-    def test_warning_points_at_construction_site(self):
-        """The stacklevel must land on the caller's source line, not the
-        dataclass-generated ``__init__`` (``"<string>"``) it passes
-        through — for every shimmed settings class."""
-        for construct in (
-            lambda: SweepGrid(datasets=("anybeat",), backend="csr"),
-            lambda: TableSettings(backend="csr"),
-            lambda: Figure3Settings(backend="csr"),
-        ):
-            with pytest.warns(DeprecationWarning) as caught:
-                construct()
-            assert caught[0].filename == __file__
-
-    def test_warning_points_through_dataclasses_replace(self):
-        """``dataclasses.replace`` adds a stdlib frame on top of the
-        generated ``__init__``; the warning must still skip past it."""
-        grid = SweepGrid(datasets=("anybeat",))
-        with pytest.warns(DeprecationWarning) as caught:
-            dataclasses.replace(grid, backend="csr")
-        assert caught[0].filename == __file__
 
 
 class TestRunExperimentContext:

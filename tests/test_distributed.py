@@ -27,7 +27,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import RunContext, SocketExecutor, executor_for, run_sweep, sweep_to_csv
+from repro.api import (
+    RunContext,
+    SerialExecutor,
+    SocketExecutor,
+    executor_for,
+    run_sweep,
+    sweep_to_csv,
+)
 from repro.api.distributed import (
     WIRE_VERSION,
     SocketTransport,
@@ -39,6 +46,8 @@ from repro.api.distributed import (
 )
 from repro.api.scheduler import LocalThreadTransport, Scheduler
 from repro.errors import DistributedError, ExperimentError, WorkerLostError
+from repro.experiments.report import results_to_csv
+from repro.experiments.runner import ExperimentConfig, run_experiment
 from repro.experiments.sweeps import SweepGrid
 from repro.metrics.suite import EvaluationConfig
 
@@ -401,21 +410,47 @@ class TestContextPlumbing:
         ctx = RunContext(workers=["127.0.0.1:9000", "127.0.0.1:9001"])
         assert ctx.workers == ("127.0.0.1:9000", "127.0.0.1:9001")
 
-    def test_parallelism_and_granularity(self):
-        distributed = RunContext(workers=("127.0.0.1:9000",) * 3)
-        assert distributed.parallelism == 3
-        # 2 cells < 3 agents: auto granularity flattens to run level,
-        # exactly as it would for jobs=3
-        assert distributed.resolve_granularity(2) == "run"
-        assert distributed.resolve_granularity(3) == "cell"
+    def test_parallelism(self):
+        assert RunContext(workers=("127.0.0.1:9000",) * 3).parallelism == 3
+        assert RunContext(jobs=3).parallelism == 3
+        assert RunContext().parallelism == 1
 
-    def test_for_worker_strips_all_parallelism(self):
-        ctx = RunContext(workers=("127.0.0.1:9000",), seed=11)
-        inner = ctx.for_worker()
-        assert inner.workers is None and inner.jobs == 1
-        assert inner.seed == 11
-        serial = RunContext(seed=3)
-        assert serial.for_worker() is serial
+    def test_items_carry_no_context(self, monkeypatch):
+        """Every work-item is one ``(ExperimentConfig, run_seed)`` pair: no
+        RunContext rides along, so no worker can open a nested pool or its
+        own coordinator.  Cells of uneven ``runs`` still regroup into the
+        aggregates their serial in-process loops produce."""
+        import repro.api.run as run_module
+
+        seen = []
+
+        class RecordingExecutor(SerialExecutor):
+            def map(self, fn, items):
+                items = list(items)
+                seen.extend(items)
+                return super().map(fn, items)
+
+        monkeypatch.setattr(
+            run_module, "executor_for", lambda context, *init: RecordingExecutor()
+        )
+        context = RunContext(workers=("127.0.0.1:9000",) * 2, seed=11)
+        cells = context.materialize(
+            ExperimentConfig(
+                dataset="anybeat", fraction=fraction, runs=runs,
+                methods=("rw",), rc=3.0, scale=0.12, evaluation=FAST_EVAL,
+            )
+            for fraction, runs in ((0.1, 1), (0.2, 2))
+        )
+        pooled = list(run_module.map_cells(cells, context))
+
+        assert len(seen) == 3  # Σ runs over the cells
+        for config, run_seed in seen:  # exactly a pair: nothing else rides along
+            assert type(config) is ExperimentConfig and type(run_seed) is int
+        serial = [run_experiment(cell) for cell in cells]
+        for pooled_cell, serial_cell in zip(pooled, serial, strict=True):
+            assert results_to_csv(
+                {"cell": pooled_cell}, include_timings=False
+            ) == results_to_csv({"cell": serial_cell}, include_timings=False)
 
 
 # ----------------------------------------------------------------------

@@ -48,8 +48,13 @@ class TestSweeps:
         assert {c.fraction for c in cells} == {0.1, 0.2}
 
     def test_empty_grid_rejected(self):
-        with pytest.raises(ExperimentError):
-            list(SweepGrid(datasets=()).cells())
+        for grid in (
+            SweepGrid(datasets=()),
+            SweepGrid(datasets=("anybeat",), fractions=()),
+            SweepGrid(datasets=("anybeat",), rcs=()),
+        ):
+            with pytest.raises(ExperimentError):
+                list(grid.cells())
 
     def test_run_sweep_with_checkpoint(self, grid, tmp_path):
         csv_path = tmp_path / "sweep.csv"
