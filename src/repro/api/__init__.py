@@ -13,27 +13,25 @@ execution contract::
 The :class:`RunContext` carries *how* work executes (compute backend, base
 seed, evaluation mode, worker count); the grids/settings carry *what* runs.
 All cell and run seeds are spawned deterministically from the context's
-base seed before execution, and executors stream results in cell order —
+base seed before execution, and results stream back in cell order —
 so ``jobs=4`` is bit-identical to ``jobs=1`` on fixed seeds, and so is
 ``workers=("hostA:9000", "hostB:9000")``, which shards the same work
-across ``repro worker`` agents on other machines.  Under the hood one
-order-preserving :class:`Scheduler` drives a pluggable :class:`Transport`
-(in-thread, process pool, or socket coordinator).  See
+across ``repro worker`` agents on other machines.  A serial context runs
+a plain loop (:class:`SerialExecutor`); a parallel one runs one
+order-preserving :class:`Scheduler` over a :class:`LocalPoolTransport`
+or a :class:`SocketTransport` (:func:`executor_for` picks).  See
 ``docs/ARCHITECTURE.md`` ("Execution model") for the full contract.
 """
 
 from repro.api.context import RunContext, spawn_seeds
 from repro.api.distributed import SocketTransport, run_worker
-from repro.api.executors import (
-    ExecutionSpec,
-    Executor,
-    ProcessPoolExecutor,
-    SerialExecutor,
-    SocketExecutor,
-    executor_for,
+from repro.api.run import SerialExecutor, executor_for, map_cells
+from repro.api.scheduler import (
+    LocalPoolTransport,
+    LocalThreadTransport,
+    Scheduler,
+    Transport,
 )
-from repro.api.run import map_cells
-from repro.api.scheduler import LocalThreadTransport, Scheduler, Transport
 from repro.api.workers import (
     DatasetPublication,
     SharedDataset,
@@ -82,15 +80,12 @@ from repro.metrics.suite import EvaluationConfig
 __all__ = [
     "RunContext",
     "spawn_seeds",
-    "Executor",
-    "ExecutionSpec",
     "SerialExecutor",
-    "ProcessPoolExecutor",
-    "SocketExecutor",
     "executor_for",
     "Scheduler",
     "Transport",
     "LocalThreadTransport",
+    "LocalPoolTransport",
     "SocketTransport",
     "run_worker",
     "map_cells",

@@ -10,8 +10,8 @@ that plumbing into a single immutable value that travels with the work:
   deterministically (see below),
 * ``exact_paths`` — opt-in exact all-pairs shortest paths (the streaming
   histogram kernels make this feasible at 10^5-node scale),
-* ``jobs`` — worker-process count for the executor layer
-  (:mod:`repro.api.executors`),
+* ``jobs`` — worker-process count for the local process pool
+  (:class:`~repro.api.scheduler.LocalPoolTransport`),
 * ``workers`` — coordinator addresses for the distributed tier
   (:mod:`repro.api.distributed`); when set, execution shards across
   ``repro worker`` agents instead of a local pool.

@@ -17,10 +17,11 @@ reductions never depends on who executed which item.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from typing import TYPE_CHECKING, Any, TypeVar
 
-from repro.api.executors import executor_for
+from repro.api.distributed import SocketTransport
+from repro.api.scheduler import LocalPoolTransport, Scheduler
 from repro.errors import ExperimentError
 from repro.experiments import runner
 from repro.experiments.runner import (
@@ -37,6 +38,39 @@ if TYPE_CHECKING:
     from repro.api.workers import DatasetPublication
 
 _T = TypeVar("_T")
+_R = TypeVar("_R")
+
+
+class SerialExecutor:
+    """In-process reference executor: a plain streaming loop."""
+
+    def map(self, fn: Callable[[_T], _R], items: Iterable[_T]) -> Iterator[_R]:
+        for item in items:
+            yield fn(item)
+
+
+def executor_for(
+    context: "RunContext",
+    initializer: Callable[..., None] | None = None,
+    initargs: tuple[Any, ...] = (),
+) -> Scheduler | SerialExecutor:
+    """The order-preserving executor a :class:`~repro.api.context.RunContext`
+    asks for.
+
+    A ``workers`` address list selects the distributed tier, one slot per
+    agent, with each item tried up to three times so a sweep that still
+    has a surviving agent never fails on one lost agent.  Otherwise
+    ``jobs`` selects the serial loop or a local process pool.
+    ``initializer``/``initargs`` apply only to the local pool — remote
+    agents are separate interpreters on (possibly) other hosts, so
+    per-host worker setup like shared-memory attachment cannot apply to
+    them.
+    """
+    if context.workers:
+        return Scheduler(SocketTransport(context.workers), max_attempts=3)
+    if context.jobs <= 1:
+        return SerialExecutor()
+    return Scheduler(LocalPoolTransport(context.jobs, initializer, initargs))
 
 
 def map_cells(

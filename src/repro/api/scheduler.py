@@ -1,9 +1,8 @@
 """The order-preserving scheduler core, independent of any transport.
 
-The execution stack used to fuse three concerns inside one
-``ProcessPoolExecutor.map``: in-order yielding, prefetch/backpressure
-pacing, and cancel-on-failure — all coupled to ``concurrent.futures``.
-This module is the extraction: a :class:`Scheduler` that owns
+Every concurrent map in the harness is ``Scheduler(transport).map``
+(:func:`repro.api.run.executor_for` builds the one a context asks for).
+The :class:`Scheduler` owns
 
 * **pacing** — at most ``slots * PREFETCH_FACTOR`` *incomplete*
   submissions in flight (input is pulled and pickled only as earlier
@@ -31,9 +30,8 @@ This module is the extraction: a :class:`Scheduler` that owns
 * :class:`LocalThreadTransport` — runs items inline in the calling
   thread; the serial reference the scheduler's own behavior is
   validated against.
-* ``LocalPoolTransport`` (:mod:`repro.api.executors`) — wraps the
-  ``concurrent.futures`` process pool; byte-identical to the
-  pre-refactor executor, including its input-pull pacing.
+* :class:`LocalPoolTransport` — a ``concurrent.futures`` process pool
+  on this host.
 * ``SocketTransport`` (:mod:`repro.api.distributed`) — a coordinator
   work-queue over length-prefixed frames to ``repro worker`` agents on
   any host.
@@ -48,11 +46,12 @@ worker count, retries, or reassignment.
 
 from __future__ import annotations
 
+import concurrent.futures as _futures
 import time
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import islice
-from typing import Any, Protocol, TypeVar
+from typing import Any, Protocol, TypeVar, cast
 
 from repro.errors import DistributedError, ExperimentError, WorkerLostError
 
@@ -197,6 +196,65 @@ class LocalThreadTransport:
 
     def abort(self) -> None:
         self._fn = None
+
+
+class LocalPoolTransport:
+    """Transport over a ``concurrent.futures`` process pool on this host.
+
+    The pool is created at :meth:`open` (sized to the initial window) and
+    its futures are the scheduler's pendings, so input-pull pacing,
+    in-order yield and cancel-on-failure are all the scheduler's.
+    """
+
+    def __init__(
+        self,
+        jobs: int,
+        initializer: Callable[..., None] | None = None,
+        initargs: tuple[Any, ...] = (),
+    ) -> None:
+        self.slots = jobs
+        self._initializer = initializer
+        self._initargs = initargs
+        self._pool: Any = None
+        self._fn: Callable[[Any], Any] | None = None
+
+    def open(self, fn: Callable[[Any], Any], head_size: int) -> None:
+        # looked up through the module at call time so tests can swap the
+        # pool class for an instant-completion fake
+        self._pool = _futures.ProcessPoolExecutor(
+            max_workers=min(self.slots, head_size),
+            initializer=self._initializer,
+            initargs=self._initargs,
+        )
+        self._fn = fn
+
+    def submit(self, item: Any) -> Pending:
+        assert self._pool is not None and self._fn is not None, "submit before open"
+        return cast(Pending, self._pool.submit(self._fn, item))
+
+    def wait(self, pending: Sequence[Pending], timeout: float | None = None) -> None:
+        _futures.wait(
+            cast("Sequence[_futures.Future[Any]]", pending),
+            timeout=timeout,
+            return_when=_futures.FIRST_COMPLETED,
+        )
+
+    def forfeit(self, pending: Pending) -> None:
+        raise DistributedError(
+            "process-pool transport cannot forfeit a running submission"
+        )
+
+    def close(self) -> None:
+        if self._pool is not None:
+            self._pool.shutdown(wait=True)
+            self._pool = None
+
+    def abort(self) -> None:
+        if self._pool is not None:
+            # cancel queued work immediately, then join what is running
+            self._pool.shutdown(wait=False, cancel_futures=True)
+            self._pool.shutdown(wait=True)
+            self._pool = None
 
 
 class _Slot:

@@ -34,8 +34,7 @@ holds unchanged over sockets.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -47,7 +46,6 @@ from repro.experiments.runner import (
 )
 
 if TYPE_CHECKING:
-    from repro.engine.csr import CSRGraph
     from repro.engine.store import SharedSnapshot
     from repro.experiments.runner import ExperimentConfig
     from repro.metrics.suite import EvaluationConfig, PropertySet
@@ -117,38 +115,10 @@ def publish_cells(
     worker process.  Returns ``None`` when shared memory is unusable;
     callers then run the legacy rebuild-per-worker path.
     """
-    groups: "OrderedDict[tuple[str, float], list[ExperimentConfig]]"
-    groups = OrderedDict()
+    groups: "dict[tuple[str, float], list[ExperimentConfig]]" = {}
     for config in cells:
         groups.setdefault((config.dataset, config.scale), []).append(config)
-    if not groups:
-        return None
-    from repro.engine.dispatch import ensure_csr
-    from repro.graph.datasets import load_dataset
-
-    snapshots: "list[SharedSnapshot]" = []
-    descriptors: list[SharedDataset] = []
-    try:
-        for (dataset, scale), configs in groups.items():
-            graph = load_dataset(dataset, scale=scale)
-            snap = _publish_graph(ensure_csr(graph))
-            snapshots.append(snap)
-            truths = []
-            seen = set()
-            for config in configs:
-                evaluation = config.evaluation_config()
-                if evaluation in seen:
-                    continue
-                seen.add(evaluation)
-                truths.append((evaluation, cell_truth(config, graph)))
-            descriptors.append(
-                SharedDataset(dataset, scale, snap.name, tuple(truths))
-            )
-    except (OSError, StoreError):
-        for snap in snapshots:
-            snap.close()
-        return None
-    return DatasetPublication(snapshots, tuple(descriptors))
+    return _publish(groups)
 
 
 def publish_datasets(
@@ -160,29 +130,41 @@ def publish_datasets(
     known up front, so no truths are shipped — workers crawl the shared
     snapshot and compute truth on the canonical path on first need.
     """
+    return _publish(dict.fromkeys(targets, ()))
+
+
+def _publish(
+    groups: "Mapping[tuple[str, float], Sequence[ExperimentConfig]]",
+) -> DatasetPublication | None:
+    """Publish each ``(dataset, scale)`` group in order, with the truth of
+    each distinct evaluation among its configs; ``None`` when there is
+    nothing to publish or shared memory is unusable."""
+    if not groups:
+        return None
     from repro.engine.dispatch import ensure_csr
+    from repro.engine.store import SharedSnapshot
     from repro.graph.datasets import load_dataset
 
     snapshots: "list[SharedSnapshot]" = []
     descriptors: list[SharedDataset] = []
     try:
-        for dataset, scale in OrderedDict.fromkeys(targets):
-            snap = _publish_graph(ensure_csr(load_dataset(dataset, scale=scale)))
+        for (dataset, scale), configs in groups.items():
+            graph = load_dataset(dataset, scale=scale)
+            snap = SharedSnapshot.create(ensure_csr(graph))
             snapshots.append(snap)
-            descriptors.append(SharedDataset(dataset, scale, snap.name))
+            truths: "dict[EvaluationConfig, PropertySet]" = {}
+            for config in configs:
+                evaluation = config.evaluation_config()
+                if evaluation not in truths:
+                    truths[evaluation] = cell_truth(config, graph)
+            descriptors.append(
+                SharedDataset(dataset, scale, snap.name, tuple(truths.items()))
+            )
     except (OSError, StoreError):
         for snap in snapshots:
             snap.close()
         return None
-    if not descriptors:
-        return None
     return DatasetPublication(snapshots, tuple(descriptors))
-
-
-def _publish_graph(csr: "CSRGraph") -> "SharedSnapshot":
-    from repro.engine.store import SharedSnapshot
-
-    return SharedSnapshot.create(csr)
 
 
 def pool_worker_init(

@@ -9,8 +9,9 @@ times are averaged over rounds as well (Table IV / V).
 Seeding: every round draws its generator from a seed *spawned* from the
 cell seed (:func:`repro.api.context.spawn_seeds`), so a cell's outcome is
 a pure function of its :class:`ExperimentConfig` — rounds never share a
-generator stream.  That is the property the executor layer
-(:mod:`repro.api.executors`) relies on for serial↔parallel bit-identity.
+generator stream.  That is the property the executors
+(:func:`repro.api.run.executor_for`) rely on for serial↔parallel
+bit-identity.
 
 A cell decomposes into picklable *run* work-items: :func:`execute_run`
 performs one round (one ``run_methods_once`` + property evaluation) and

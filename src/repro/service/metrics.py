@@ -60,6 +60,9 @@ class ServiceMetrics:
     requests that reached the compute path: ``(computations + coalesced)
     / computations``.  It is 1.0 when every compute request paid its own
     computation and grows as duplicate in-flight requests share one.
+
+    The per-op tables gain a key for every distinct ``op`` recorded, so
+    callers pass a protocol op or ``None``, never a client's raw string.
     """
 
     def __init__(self) -> None:

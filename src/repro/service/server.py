@@ -45,6 +45,7 @@ from repro.service.cache import ContentAddressedLRU
 from repro.service.handlers import run_op
 from repro.service.metrics import ServiceMetrics
 from repro.service.protocol import (
+    OPS,
     PROTOCOL_VERSION,
     decode_frame,
     encode_frame,
@@ -279,11 +280,15 @@ class ReproService:
         self._idle.clear()
         request_id = None
         op = None
+        known_op = None
         try:
             frame = decode_frame(line)
             request_id = frame.get("id")
             op = frame.get("op")
-            self._metrics.record_request(op if isinstance(op, str) else None)
+            # the per-op stats tables are keyed by protocol ops only, so a
+            # client sending made-up op strings cannot grow them
+            known_op = op if op in OPS else None
+            self._metrics.record_request(known_op)
             params = normalize_request(op, frame.get("params"))
             timeout = self._request_timeout(frame)
             if op == "ping":
@@ -309,9 +314,7 @@ class ReproService:
         except Exception as exc:  # internal fault: still answer the client
             self._write_error(writer, request_id, op, "internal", repr(exc))
         finally:
-            self._metrics.record_latency(
-                op if isinstance(op, str) else None, time.perf_counter() - start
-            )
+            self._metrics.record_latency(known_op, time.perf_counter() - start)
             self._active -= 1
             if self._active == 0:
                 self._idle.set()

@@ -9,8 +9,9 @@ import time
 import pytest
 
 from repro.api import (
-    ProcessPoolExecutor,
+    LocalPoolTransport,
     RunContext,
+    Scheduler,
     SerialExecutor,
     clear_truth_cache,
     executor_for,
@@ -19,7 +20,7 @@ from repro.api import (
     sweep_to_csv,
     truth_cache_stats,
 )
-from repro.api.executors import MAX_UNYIELDED_FACTOR, PREFETCH_FACTOR
+from repro.api.scheduler import MAX_UNYIELDED_FACTOR, PREFETCH_FACTOR
 from repro.errors import ExperimentError
 from repro.experiments.report import results_to_csv
 from repro.experiments.runner import ExperimentConfig, run_experiment
@@ -165,39 +166,36 @@ class TestExecutors:
     def test_executor_for_dispatch(self):
         assert isinstance(executor_for(RunContext(jobs=1)), SerialExecutor)
         pool = executor_for(RunContext(jobs=3))
-        assert isinstance(pool, ProcessPoolExecutor)
-        assert pool.jobs == 3
-
-    def test_pool_requires_two_jobs(self):
-        with pytest.raises(ExperimentError):
-            ProcessPoolExecutor(1)
+        assert isinstance(pool, Scheduler)
+        assert isinstance(pool.transport, LocalPoolTransport)
+        assert pool.transport.slots == 3
 
     def test_pool_preserves_submission_order(self):
-        out = list(ProcessPoolExecutor(2).map(_slow_square, [0, 1, 2, 3]))
+        out = list(Scheduler(LocalPoolTransport(2)).map(_slow_square, [0, 1, 2, 3]))
         assert out == [0, 1, 4, 9]
 
     def test_pool_empty_items(self):
-        assert list(ProcessPoolExecutor(2).map(_slow_square, [])) == []
+        assert list(Scheduler(LocalPoolTransport(2)).map(_slow_square, [])) == []
 
     def test_pool_propagates_cell_error(self):
         with pytest.raises(ValueError, match="boom"):
-            list(ProcessPoolExecutor(2).map(_explode, [0, 1, 2, 3]))
+            list(Scheduler(LocalPoolTransport(2)).map(_explode, [0, 1, 2, 3]))
 
     def test_pool_pulls_input_paced_by_completions(self, monkeypatch):
         """Input is pulled (and pickled) only as earlier items complete —
         never the whole grid up front.  The instant-completion fake pool
         makes the pacing deterministic: each wake of the generator
         refills at most one window."""
-        import repro.api.executors as executors_module
+        import repro.api.scheduler as scheduler_module
 
         monkeypatch.setattr(
-            executors_module._futures, "ProcessPoolExecutor", _InstantPool
+            scheduler_module._futures, "ProcessPoolExecutor", _InstantPool
         )
         items = _CountingIterable(20)
         window = 2 * PREFETCH_FACTOR
         out = []
         for consumed, result in enumerate(
-            ProcessPoolExecutor(2).map(lambda x: x * x, items)  # reprolint: disable=REP201 fake in-process pool, never pickled
+            Scheduler(LocalPoolTransport(2)).map(lambda x: x * x, items)  # reprolint: disable=REP201 fake in-process pool, never pickled
         ):
             # head window + one refill window per completed-head wake
             assert items.pulled <= min(window * (consumed + 2), 20)
@@ -209,10 +207,10 @@ class TestExecutors:
         """A failure *behind* still-pending earlier items stops input
         pulls the moment it is observed, while earlier results still
         yield and the error still surfaces in submission order."""
-        import repro.api.executors as executors_module
+        import repro.api.scheduler as scheduler_module
 
         monkeypatch.setattr(
-            executors_module._futures, "ProcessPoolExecutor", _InstantPool
+            scheduler_module._futures, "ProcessPoolExecutor", _InstantPool
         )
         items = _CountingIterable(100)
         window = 2 * PREFETCH_FACTOR
@@ -222,7 +220,7 @@ class TestExecutors:
                 raise ValueError("boom")
             return x
 
-        gen = ProcessPoolExecutor(2).map(fn, items)  # reprolint: disable=REP201 fake in-process pool, never pickled
+        gen = Scheduler(LocalPoolTransport(2)).map(fn, items)  # reprolint: disable=REP201 fake in-process pool, never pickled
         assert next(gen) == 0
         assert next(gen) == 1
         with pytest.raises(ValueError, match="boom"):
@@ -235,13 +233,13 @@ class TestExecutors:
         slots: while the queue head is still running, the refill loop
         keeps feeding the other workers past the initial window."""
         items = _CountingIterable(12)
-        out = list(ProcessPoolExecutor(2).map(_slow_head, items))
+        out = list(Scheduler(LocalPoolTransport(2)).map(_slow_head, items))
         assert out == list(range(12))
         assert items.pulled == 12
 
     def test_pool_slow_head_refills_before_first_yield(self):
         items = _CountingIterable(50)
-        gen = ProcessPoolExecutor(2).map(_slow_head, items)
+        gen = Scheduler(LocalPoolTransport(2)).map(_slow_head, items)
         assert next(gen) == 0  # the slow head itself
         # the old code froze at the initial window until the head
         # yielded; the refill loop must have pulled past it by now —
@@ -255,7 +253,7 @@ class TestExecutors:
         submitted once an item has raised."""
         items = _CountingIterable(1000)
         with pytest.raises(ValueError, match="boom"):
-            list(ProcessPoolExecutor(2).map(_explode, items))
+            list(Scheduler(LocalPoolTransport(2)).map(_explode, items))
         # nothing was yielded before item 0's failure surfaced, so the
         # total-unyielded cap is a hard bound on how much input was pulled
         assert items.pulled <= 2 * MAX_UNYIELDED_FACTOR

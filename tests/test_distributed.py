@@ -30,7 +30,6 @@ import pytest
 from repro.api import (
     RunContext,
     SerialExecutor,
-    SocketExecutor,
     executor_for,
     run_sweep,
     sweep_to_csv,
@@ -395,8 +394,11 @@ class TestWire:
 class TestContextPlumbing:
     def test_executor_for_dispatches_to_socket_executor(self):
         executor = executor_for(RunContext(workers=("127.0.0.1:9000",) * 2))
-        assert isinstance(executor, SocketExecutor)
-        assert executor.jobs == 2
+        assert isinstance(executor, Scheduler)
+        assert isinstance(executor.transport, SocketTransport)
+        assert executor.transport.slots == 2
+        # one lost agent must not fail a sweep that has a survivor
+        assert executor.max_attempts == 3
 
     def test_workers_validation(self):
         with pytest.raises(ExperimentError):
@@ -478,7 +480,7 @@ class TestEndToEnd:
         port = _free_port()
         workers = [_spawn_worker(port), _spawn_worker(port)]
         try:
-            executor = SocketExecutor([f"127.0.0.1:{port}"] * 2)
+            executor = Scheduler(SocketTransport([f"127.0.0.1:{port}"] * 2))
             assert list(executor.map(_double, range(20))) == [2 * x for x in range(20)]
             assert executor.stats == {"retries": 0, "timeouts": 0}
         finally:
@@ -488,7 +490,7 @@ class TestEndToEnd:
         port = _free_port()
         workers = [_spawn_worker(port), _spawn_worker(port)]
         try:
-            executor = SocketExecutor([f"127.0.0.1:{port}"] * 2)
+            executor = Scheduler(SocketTransport([f"127.0.0.1:{port}"] * 2))
             with pytest.raises(ValueError, match="boom three"):
                 list(executor.map(_explode_on_three, range(6)))
         finally:
@@ -545,8 +547,8 @@ class TestEndToEnd:
         hung = _spawn_worker(port, "--chaos-hang-on-task", "1")
         survivor = _spawn_worker(port)
         try:
-            executor = SocketExecutor(
-                [f"127.0.0.1:{port}"] * 2, timeout=3.0, max_attempts=2
+            executor = Scheduler(
+                SocketTransport([f"127.0.0.1:{port}"] * 2), timeout=3.0, max_attempts=2
             )
             assert list(executor.map(_double, range(8))) == [2 * x for x in range(8)]
             assert executor.stats["timeouts"] >= 1

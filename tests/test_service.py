@@ -44,6 +44,7 @@ from repro.service import (
 )
 from repro.service import handlers as service_handlers
 from repro.service.handlers import evaluate_config
+from repro.service.protocol import OPS
 
 EVAL_PARAMS = {
     "dataset": "anybeat",
@@ -492,13 +493,21 @@ class TestServiceErrors:
             c = await AsyncServiceClient.connect(service.host, service.port)
             bad_op = await c.request_frames("bogus")
             bad_param = await c.request_frames("profile", {"dataset": "x", "no": 1})
+            for i in range(50):
+                await c.request_frames(f"bogus-{i}")
             await c.close()
             await service.drain()
-            return bad_op, bad_param
+            return bad_op, bad_param, service.stats()
 
-        bad_op, bad_param = asyncio.run(main())
+        bad_op, bad_param, stats = asyncio.run(main())
         assert bad_op[-1]["error_code"] == "protocol"
         assert bad_param[-1]["error_code"] == "protocol"
+        # made-up op strings must not grow the per-op tables, but still count
+        assert set(stats["requests"]["by_op"]) <= set(OPS)
+        assert set(stats["latency"]["by_op"]) <= set(OPS)
+        assert stats["requests"]["total"] == 52
+        assert stats["latency"]["overall"]["count"] == 52
+        assert stats["errors"]["by_code"]["protocol"] == 52
 
     def test_client_raises_mapped_exception(self, monkeypatch):
         monkeypatch.setitem(
