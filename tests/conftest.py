@@ -18,6 +18,16 @@ from repro.sampling.access import GraphAccess
 from repro.sampling.walkers import random_walk
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--regen-golden",
+        action="store_true",
+        default=False,
+        help="rewrite tests/golden/digests.json from this tree instead of "
+        "checking it (record the reason in CHANGES.md)",
+    )
+
+
 @pytest.fixture
 def triangle() -> MultiGraph:
     """K3."""
