@@ -3,11 +3,13 @@
 Not a paper table — these guard the implementation's performance envelope:
 rewiring throughput (the bottleneck the paper optimizes), estimator cost,
 stub-matching construction, and the evaluation suite itself.  The
-threshold-calibration test at the bottom measures, per engine kernel, the
-edge count at which ``freeze + CSR kernel`` breaks even with the pure
-Python path — and, for rewiring, the attempt budget at which the CSR core
-breaks even — the data behind
-:data:`repro.engine.dispatch.AUTO_KERNEL_THRESHOLDS`.
+threshold-calibration test at the bottom measures, for the two kernels
+whose ``auto`` dispatch still compares a size, where the CSR path breaks
+even with the pure Python one: the edge count for batched walks and the
+attempt budget for the rewiring core — the data behind those entries of
+:data:`repro.engine.dispatch.AUTO_KERNEL_THRESHOLDS`.  Every property
+kernel runs on CSR under ``auto`` at any size; ``bench_auto_dispatch.py``
+guards that rule on a whole sweep.
 """
 
 from __future__ import annotations
@@ -19,15 +21,10 @@ from conftest import BENCH_EVAL, BENCH_SCALE, write_json, write_result
 
 from repro.dk.dk_series import generate_2k
 from repro.dk.rewiring import RewiringEngine
-from repro.engine import kernels
-from repro.engine.csr import freeze
 from repro.estimators.local import estimate_local_properties
 from repro.graph.datasets import load_dataset
 from repro.graph.generators import powerlaw_cluster_graph
-from repro.metrics import basic, clustering, spectral
-from repro.metrics.betweenness import betweenness_centrality
 from repro.metrics.clustering import degree_dependent_clustering
-from repro.metrics.paths import shortest_path_stats
 from repro.metrics.suite import compute_properties
 from repro.restore.restorer import restore_from_walk
 from repro.sampling.access import GraphAccess
@@ -88,7 +85,7 @@ def test_bench_property_suite(benchmark):
 
 
 # ----------------------------------------------------------------------
-# AUTO threshold calibration: freeze break-even per kernel
+# AUTO threshold calibration: the kernels that still compare a size
 # ----------------------------------------------------------------------
 CALIBRATION_SIZES = (500, 1_000, 2_000, 5_000, 10_000, 20_000, 50_000)
 
@@ -116,34 +113,6 @@ def _best_of(fn, repeats: int = 3) -> float:
 def _calibration_graph(edges: int):
     n = max(20, edges // 3)
     return powerlaw_cluster_graph(n, 3, 0.1, rng=edges)
-
-
-#: The metric suite computes several engine-backed properties per frozen
-#: snapshot (degree vector, JDM, triangle counts, both clustering
-#: aggregates, neighbor connectivity, shared partners, λ1, and the
-#: BFS-based shortest-path/betweenness pair), so the freeze is amortized
-#: across roughly this many kernel evaluations in the workloads ``auto``
-#: serves.
-FREEZE_SHARERS = 8
-
-
-def _metric_cases(graph, csr):
-    return (
-        ("degree", lambda: basic.degree_vector(graph),
-         lambda: kernels.degree_vector(csr)),
-        ("jdm", lambda: basic.joint_degree_matrix(graph),
-         lambda: kernels.joint_degree_matrix(csr)),
-        ("triangles", lambda: clustering.triangles_per_node(graph),
-         lambda: kernels.triangles_per_node(csr)),
-        ("clustering", lambda: clustering.degree_dependent_clustering(graph),
-         lambda: kernels.degree_dependent_clustering(csr)),
-        ("knn", lambda: basic.neighbor_connectivity(graph),
-         lambda: kernels.neighbor_connectivity(csr)),
-        ("shared_partners", lambda: clustering.shared_partner_distribution(graph),
-         lambda: kernels.shared_partner_distribution(csr)),
-        ("spectral", lambda: spectral.largest_eigenvalue(graph),
-         lambda: spectral.matrix_largest_eigenvalue(csr.adjacency_matrix())),
-    )
 
 
 def _rewiring_row(base, target, rc: float) -> dict:
@@ -174,7 +143,7 @@ def _rewiring_calibration() -> list[dict]:
     rows = []
     for edges in REWIRING_SIZES:
         graph = _calibration_graph(edges)
-        target = clustering.degree_dependent_clustering(graph)
+        target = degree_dependent_clustering(graph)
         base = generate_2k(graph, rng=7)
         rows += [
             _rewiring_row(base, target, rc)
@@ -185,61 +154,19 @@ def _rewiring_calibration() -> list[dict]:
 
 
 def test_bench_auto_threshold_calibration(results_dir):
-    """Measure the per-kernel break-even point over workload sizes.
+    """Measure the break-even of the kernels ``auto`` still thresholds.
 
-    Metric kernels are timed warm (snapshot in hand) with the freeze timed
-    separately: the dispatch layer caches one snapshot per graph version
-    and the evaluation suite shares it across ~:data:`FREEZE_SHARERS`
-    kernels, so the relevant break-even charges each kernel a *share* of
-    the freeze (the fresh-freeze numbers are recorded too).  Walks are
-    timed end to end with size-proportional work (crawl 10% of nodes),
-    rewiring end to end per coefficient (:func:`_rewiring_calibration`),
-    construction cost included; rewiring's break-even is an attempt
-    budget.  The committed JSON is the provenance of
+    Walks are timed end to end with size-proportional work (crawl 10% of
+    nodes, eight independent walks per snapshot, as a convergence cell
+    runs them); rewiring end to end per coefficient
+    (:func:`_rewiring_calibration`), construction included, and its
+    break-even is an attempt budget.  The committed JSON is the
+    provenance of the ``walks`` and ``rewiring`` entries of
     ``AUTO_KERNEL_THRESHOLDS`` in ``repro/engine/dispatch.py``.
     """
-    measured: dict[str, list[dict]] = {}
+    walks = []
     for edges in CALIBRATION_SIZES:
         graph = _calibration_graph(edges)
-        m = graph.num_edges
-        freeze_seconds = _best_of(lambda: freeze(graph))
-        csr = freeze(graph)
-        # snapshot caches (adjacency / triangles) must stay cold per call,
-        # matching the python side's recompute-per-call cost model
-        for name, py_fn, csr_fn in _metric_cases(graph, csr):
-            def cold(f=csr_fn):
-                csr._triangle_cache = None
-                csr._adjacency_cache.clear()
-                f()
-
-            measured.setdefault(name, []).append({
-                "edges": m,
-                "freeze_seconds": freeze_seconds,
-                "python_seconds": _best_of(py_fn),
-                "csr_seconds": _best_of(cold),
-            })
-
-        # the harness's sampled global-property budgets; the csr side runs
-        # warm (snapshot + component caches populated, as in the suite,
-        # where the shortest-path property shares both) and is charged a
-        # freeze share like the other metric kernels
-        num_sources = min(64, graph.num_nodes)
-        num_pivots = min(32, graph.num_nodes)
-        for name, fn in (
-            ("paths", lambda b: shortest_path_stats(
-                graph, num_sources=num_sources, rng=1, backend=b)),
-            ("betweenness", lambda b: betweenness_centrality(
-                graph, num_pivots=num_pivots, rng=1, backend=b)),
-        ):
-            fn("csr")  # warm the snapshot and component caches
-            measured.setdefault(name, []).append({
-                "edges": m,
-                "freeze_seconds": freeze_seconds,
-                "python_seconds": _best_of(lambda: fn("python")),
-                "csr_seconds": _best_of(lambda: fn("csr")),
-            })
-
-        # a convergence-style cell: several independent rounds per snapshot
         walk_target = max(3, graph.num_nodes // 10)
         num_walks = 8
 
@@ -247,8 +174,8 @@ def test_bench_auto_threshold_calibration(results_dir):
             for i in range(num_walks):
                 random_walk(GraphAccess(graph), walk_target, rng=i)
 
-        measured.setdefault("walks", []).append({
-            "edges": m,
+        walks.append({
+            "edges": graph.num_edges,
             "python_seconds": _best_of(walks_py),
             "csr_seconds": _best_of(
                 lambda: independent_batched_walks(
@@ -256,17 +183,11 @@ def test_bench_auto_threshold_calibration(results_dir):
                 )
             ),
         })
-
-    break_even: dict[str, int | None] = {}
-    for name, rows in measured.items():
-        def total_csr(row):
-            share = row.get("freeze_seconds", 0.0) / FREEZE_SHARERS
-            return row["csr_seconds"] + share
-        break_even[name] = next(
-            (row["edges"] for row in rows
-             if total_csr(row) <= row["python_seconds"]),
-            None,
-        )
+    walks_break_even = next(
+        (row["edges"] for row in walks
+         if row["csr_seconds"] <= row["python_seconds"]),
+        None,
+    )
     rewiring = _rewiring_calibration()
     rewiring_break_even = {
         str(rc): next(
@@ -277,10 +198,11 @@ def test_bench_auto_threshold_calibration(results_dir):
         for rc in REWIRING_RCS
     }
     payload = {
-        "sizes": list(CALIBRATION_SIZES),
-        "freeze_sharers": FREEZE_SHARERS,
-        "measured": measured,
-        "break_even_edges": break_even,
+        "walks": {
+            "sizes": list(CALIBRATION_SIZES),
+            "measured": walks,
+            "break_even_edges": walks_break_even,
+        },
         "rewiring": {
             "rcs": list(REWIRING_RCS),
             "sizes": list(REWIRING_SIZES),
@@ -291,38 +213,23 @@ def test_bench_auto_threshold_calibration(results_dir):
     }
     write_json("bench_core_ops_thresholds.json", payload)
 
-    lines = ["# freeze break-even per kernel (freeze amortized over "
-             f"{FREEZE_SHARERS} kernels)", "kernel\tbreak-even edges"]
-    for name, edges in break_even.items():
-        lines.append(f"{name}\t{edges if edges is not None else '> max size'}")
-    lines += ["", "# rewiring break-even per coefficient (construction included)",
-              "rc\tbreak-even attempts"]
+    lines = [
+        "# batched walks break-even (8 walkers, 10% of nodes each)",
+        "walks break-even edges\t"
+        + (str(walks_break_even) if walks_break_even is not None else "> max size"),
+        "",
+        "# rewiring break-even per coefficient (construction included)",
+        "rc\tbreak-even attempts",
+    ]
     for rc, attempts in rewiring_break_even.items():
         lines.append(f"{rc}\t{attempts if attempts is not None else '> max budget'}")
     write_result("bench_core_ops_thresholds.txt", "\n".join(lines))
 
-    # the kernels auto routes to the engine must be on the winning side of
-    # their freeze share at the largest size — that is the regime the
-    # engine exists for.  `degree` and few-walker `walks` legitimately
-    # never break even in this range (the dict paths are memory-light and
-    # per-round stepping overhead swamps an 8-walker batch), which is why
-    # their dispatch thresholds sit beyond it.
-    for name in (
-        "jdm",
-        "triangles",
-        "clustering",
-        "knn",
-        "shared_partners",
-        "spectral",
-        "paths",
-        "betweenness",
-    ):
-        last = measured[name][-1]
-        share = last.get("freeze_seconds", 0.0) / FREEZE_SHARERS
-        assert last["csr_seconds"] + share <= last["python_seconds"] * 1.1, (
-            name, last,
-        )
-    # likewise the csr rewiring core at every coefficient's largest budget
+    # the csr rewiring core must win at every coefficient's largest budget,
+    # the regime the engine exists for.  Few-walker batched walks
+    # legitimately never break even in this range (per-round stepping
+    # overhead swamps an 8-walker batch), which is why their dispatch
+    # threshold sits beyond it.
     for rc in REWIRING_RCS:
         last = [row for row in rewiring if row["rc"] == rc][-1]
         assert last["csr_seconds"] <= last["python_seconds"] * 1.1, ("rewiring", last)

@@ -73,9 +73,10 @@ class RunContext:
     ----------
     backend:
         Compute backend for property evaluation *and* the generative
-        methods' rewiring (``"auto"`` resolves per kernel against the
-        calibrated thresholds).  A cell whose config pins its own backend
-        keeps it; ``None`` backends are filled from here.
+        methods' rewiring (``"auto"`` evaluates on the CSR engine and
+        picks the rewiring core by its attempt budget).  A cell whose
+        config pins its own backend keeps it; ``None`` backends are
+        filled from here.
     seed:
         Base seed; per-cell and per-run seeds are spawned from it (module
         docstring has the contract).

@@ -107,7 +107,8 @@ def _build_parser() -> argparse.ArgumentParser:
                 choices=("auto", "python", "csr"),
                 default="auto",
                 help="compute backend for property evaluation and rewiring "
-                "(auto upgrades large graphs to the CSR engine kernels)",
+                "(auto evaluates on the CSR engine and picks the rewiring "
+                "core by attempt budget)",
             )
         if execution and jobs:
             p.add_argument(
@@ -229,8 +230,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=("auto", "python", "csr"),
         default="auto",
-        help="rewiring/evaluation compute backend (auto upgrades large "
-        "graphs to the vectorized CSR engine)",
+        help="rewiring/evaluation compute backend (auto evaluates on the "
+        "CSR engine and picks the rewiring core by attempt budget)",
     )
     p_rest.add_argument("--out", default=None, help="output path prefix")
     _fault_flags(p_rest)

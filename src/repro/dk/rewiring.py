@@ -33,8 +33,8 @@ by ``backend``:
   with every potential accept confirmed by the same scalar scorer, so
   accepted swaps, reports, and the resulting graph match the reference
   for a fixed seed.
-* ``"auto"`` — ``csr`` when the run's attempt budget ``R`` reaches the
-  calibrated rewiring threshold (see :mod:`repro.engine.dispatch`),
+* ``"auto"`` — ``csr`` when the run's attempt budget ``R`` reaches
+  ``AUTO_KERNEL_THRESHOLDS["rewiring"]`` (see :mod:`repro.engine.dispatch`),
   ``python`` otherwise.  The budget, not the graph's size, decides: the
   CSR core must pay back its construction and the window it re-derives
   after every accept, and a run of few attempts never does.

@@ -14,8 +14,8 @@ implementation:
   accumulation, replaying the reference floats bit for bit.
 * :mod:`repro.engine.dispatch` — ``backend="auto" | "python" | "csr"``
   routing used by :mod:`repro.metrics`, the estimators, and the experiment
-  harness; ``auto`` upgrades large graphs to the CSR kernels and leaves
-  small ones on the bit-exact reference path.
+  harness; ``auto`` runs every property kernel on the CSR kernels, and
+  only rewiring, walks and the walk-pair count keep a size threshold.
 * :mod:`repro.engine.store` — the snapshot store: a canonical flat-buffer
   byte layout for frozen snapshots, saved/loaded on disk (RAM or
   ``mmap``-backed out-of-core), streamed out-of-core by ``freeze_stream``,
@@ -34,7 +34,6 @@ from repro.engine.bfs_kernels import (
 )
 from repro.engine.csr import CSRGraph, freeze, thaw
 from repro.engine.dispatch import (
-    AUTO_EDGE_THRESHOLD,
     AUTO_KERNEL_THRESHOLDS,
     BACKENDS,
     ensure_csr,
@@ -56,7 +55,6 @@ __all__ = [
     "CSRGraph",
     "freeze",
     "thaw",
-    "AUTO_EDGE_THRESHOLD",
     "AUTO_KERNEL_THRESHOLDS",
     "BACKENDS",
     "ensure_csr",

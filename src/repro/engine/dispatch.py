@@ -8,12 +8,13 @@ Every function here accepts either a mutable :class:`MultiGraph` or a frozen
   behavior.
 * ``"csr"`` — the vectorized kernels in :mod:`repro.engine.kernels` on a
   frozen snapshot (frozen on demand, with caching — see below).
-* ``"auto"`` — ``csr`` when the workload is large enough to amortize the
-  freeze (``num_edges >= AUTO_EDGE_THRESHOLD``) or when the input is
-  already a snapshot; ``python`` otherwise.  The ``REPRO_BACKEND``
-  environment variable, when set to ``python`` or ``csr``, overrides the
-  size heuristic (useful for A/B runs without threading a flag through
-  every call site).
+* ``"auto"`` — ``csr``.  Only the kernels named in
+  :data:`AUTO_KERNEL_THRESHOLDS` compare a workload size against a
+  threshold first; every property kernel resolves to ``csr`` at any size,
+  because whole experiment cells run faster that way with byte-identical
+  results.  The ``REPRO_BACKEND`` environment variable, when set to
+  ``python`` or ``csr``, overrides ``auto`` (useful for A/B runs without
+  threading a flag through every call site).
 
 Freeze caching
 --------------
@@ -39,48 +40,27 @@ DegreePair = tuple[int, int]
 
 BACKENDS: tuple[str, ...] = ("auto", "python", "csr")
 
-#: Default edge count at which ``auto`` switches to the CSR kernels.  Below
-#: it the freeze cost dominates the kernel win; above it the vectorized path
-#: pays for itself within a single metric evaluation.  Used for any kernel
-#: without a calibrated entry in :data:`AUTO_KERNEL_THRESHOLDS`.
-AUTO_EDGE_THRESHOLD = 20_000
-
-#: Per-kernel break-even sizes, measured by
-#: ``benchmarks/bench_core_ops.py::test_bench_auto_threshold_calibration``
-#: (results committed under ``benchmarks/results/bench_core_ops_thresholds``)
-#: and rounded to one significant figure.  Sizes are edge counts, except
-#: for ``rewiring``, whose size is the run's attempt budget
-#: (``rc x |candidates|``, capped by ``max_attempts``): its work scales
-#: with the budget, not the graph.  The freeze amortizes very
-#: differently per kernel: the JDM kernel beats the dict path almost
-#: immediately, as do neighbor connectivity, shared partners, λ1, and the
-#: BFS-based shortest-path/betweenness pair (whose python sides pay a
-#: per-edge simplify/component prologue every call that the engine serves
-#: from the snapshot's caches); triangle counting and the clustering
-#: aggregates must pay the scipy matrix products; a rewiring run must pay
-#: back engine construction (freeze, triangle kernel, candidate arrays)
-#: and the window it re-derives after every accepted swap before its
-#: batched windows win (the python core won every calibrated run below
-#: ~10 000 attempts; the CSR core broke even at ~10k-20k attempts at
-#: rc 1 and 50, at 50k-100k at rc 5-10, whose climbs accept a larger
-#: share of their attempts); the pure dict degree count is memory-light
-#: enough that the freeze share only pays off beyond the calibrated range;
-#: and few-walker batched walks pay a fresh freeze per cell in the cost
-#: model, so only large graphs route there automatically — though the
-#: vectorized visited-matrix accounting narrowed the top-of-range gap
-#: from ~6x to ~4x, which is what moved the extrapolated break-even down.
+#: The kernels that ``auto`` still sends to ``python`` below a size
+#: threshold; any kernel not named here resolves to ``csr``.  Each entry
+#: has its own reason:
+#:
+#: * ``rewiring`` is keyed on the run's attempt budget (``rc x
+#:   |candidates|``, capped by ``max_attempts``), not on the graph: the
+#:   CSR core must pay back its construction and the window it re-derives
+#:   after every accepted swap.  The calibration in
+#:   ``benchmarks/bench_core_ops.py`` has put the break-even anywhere
+#:   from ~10k to ~100k attempts: it moves with the share of attempts a
+#:   climb accepts, and between reruns.
+#: * ``walks`` is keyed on edge count.  Its CSR path draws the walks from
+#:   a numpy generator instead of ``random.Random``, so switching it would
+#:   change what ``repro convergence`` prints.
+#: * ``walk_pairs`` is the traversed-edge pair count, keyed on walk
+#:   length.  Its CSR count equals the python count only to float
+#:   round-off.
 AUTO_KERNEL_THRESHOLDS: dict[str, int] = {
-    "degree": 100_000,
-    "jdm": 500,
-    "triangles": 1_000,
-    "clustering": 1_000,
-    "knn": 500,
-    "shared_partners": 500,
-    "spectral": 500,
-    "paths": 500,
-    "betweenness": 500,
-    "walks": 100_000,
     "rewiring": 20_000,
+    "walks": 100_000,
+    "walk_pairs": 20_000,
 }
 
 _ENV_VAR = "REPRO_BACKEND"
@@ -95,12 +75,10 @@ def resolve_backend(
 ) -> str:
     """Resolve ``backend`` to a concrete ``"python"`` or ``"csr"``.
 
-    ``size`` is the workload measure compared against the calibrated
-    break-even for ``kernel`` (edge count for graph kernels, walk length
-    for sequence kernels, the attempt budget for ``rewiring``); ``None``
-    means unknown and resolves to ``python``.  ``kernel`` selects a
-    per-kernel threshold from :data:`AUTO_KERNEL_THRESHOLDS`; unknown or
-    ``None`` kernels fall back to :data:`AUTO_EDGE_THRESHOLD`.
+    ``auto`` resolves to ``csr`` unless ``kernel`` has an entry in
+    :data:`AUTO_KERNEL_THRESHOLDS`; then ``size`` (the workload measure
+    that entry is keyed on) must reach the threshold, and ``None`` means
+    unknown and resolves to ``python``.
     """
     if backend not in BACKENDS:
         raise EngineError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
@@ -113,8 +91,8 @@ def resolve_backend(
         raise EngineError(
             f"invalid {_ENV_VAR}={env!r}; expected 'auto', 'python', or 'csr'"
         )
-    threshold = AUTO_KERNEL_THRESHOLDS.get(kernel, AUTO_EDGE_THRESHOLD)
-    if size is not None and size >= threshold:
+    threshold = AUTO_KERNEL_THRESHOLDS.get(kernel) if kernel else None
+    if threshold is None or (size is not None and size >= threshold):
         return "csr"
     return "python"
 
@@ -163,15 +141,11 @@ def ensure_multigraph(graph: MultiGraph | CSRGraph) -> MultiGraph:
     return graph
 
 
-def _resolve_for(
-    graph: MultiGraph | CSRGraph, backend: str, kernel: str | None = None
-) -> str:
-    if backend not in BACKENDS:
-        raise EngineError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
-    if isinstance(graph, CSRGraph):
+def _resolve_for(graph: MultiGraph | CSRGraph, backend: str) -> str:
+    if backend == "auto" and isinstance(graph, CSRGraph):
         # a snapshot in hand makes csr free; only an explicit "python" thaws
-        return "csr" if backend == "auto" else backend
-    return resolve_backend(backend, size=graph.num_edges, kernel=kernel)
+        return "csr"
+    return resolve_backend(backend)
 
 
 # ----------------------------------------------------------------------
@@ -181,7 +155,7 @@ def degree_vector(
     graph: MultiGraph | CSRGraph, backend: str = "auto"
 ) -> dict[int, int]:
     """``{n(k)}`` over ``k >= 1`` on the selected backend."""
-    if _resolve_for(graph, backend, "degree") == "csr":
+    if _resolve_for(graph, backend) == "csr":
         return kernels.degree_vector(ensure_csr(graph))
     from repro.metrics import basic
 
@@ -192,7 +166,7 @@ def degree_distribution(
     graph: MultiGraph | CSRGraph, backend: str = "auto"
 ) -> dict[int, float]:
     """``{P(k)}`` on the selected backend."""
-    if _resolve_for(graph, backend, "degree") == "csr":
+    if _resolve_for(graph, backend) == "csr":
         return kernels.degree_distribution(ensure_csr(graph))
     from repro.metrics import basic
 
@@ -203,7 +177,7 @@ def joint_degree_matrix(
     graph: MultiGraph | CSRGraph, backend: str = "auto"
 ) -> dict[DegreePair, int]:
     """``{m(k,k')}`` on the selected backend."""
-    if _resolve_for(graph, backend, "jdm") == "csr":
+    if _resolve_for(graph, backend) == "csr":
         return kernels.joint_degree_matrix(ensure_csr(graph))
     from repro.metrics import basic
 
@@ -214,7 +188,7 @@ def joint_degree_distribution(
     graph: MultiGraph | CSRGraph, backend: str = "auto"
 ) -> dict[DegreePair, float]:
     """``{P(k,k')}`` on the selected backend."""
-    if _resolve_for(graph, backend, "jdm") == "csr":
+    if _resolve_for(graph, backend) == "csr":
         return kernels.joint_degree_distribution(ensure_csr(graph))
     from repro.metrics import basic
 
@@ -225,7 +199,7 @@ def triangles_per_node(
     graph: MultiGraph | CSRGraph, backend: str = "auto"
 ) -> dict[Node, float]:
     """``{t_i}`` on the selected backend."""
-    if _resolve_for(graph, backend, "triangles") == "csr":
+    if _resolve_for(graph, backend) == "csr":
         return kernels.triangles_per_node(ensure_csr(graph))
     from repro.metrics import clustering
 
@@ -234,7 +208,7 @@ def triangles_per_node(
 
 def network_clustering(graph: MultiGraph | CSRGraph, backend: str = "auto") -> float:
     """``c̄`` on the selected backend."""
-    if _resolve_for(graph, backend, "clustering") == "csr":
+    if _resolve_for(graph, backend) == "csr":
         return kernels.network_clustering(ensure_csr(graph))
     from repro.metrics import clustering
 
@@ -245,7 +219,7 @@ def degree_dependent_clustering(
     graph: MultiGraph | CSRGraph, backend: str = "auto"
 ) -> dict[int, float]:
     """``{c̄(k)}`` on the selected backend."""
-    if _resolve_for(graph, backend, "clustering") == "csr":
+    if _resolve_for(graph, backend) == "csr":
         return kernels.degree_dependent_clustering(ensure_csr(graph))
     from repro.metrics import clustering
 
@@ -256,7 +230,7 @@ def neighbor_connectivity(
     graph: MultiGraph | CSRGraph, backend: str = "auto"
 ) -> dict[int, float]:
     """``{k̄nn(k)}`` on the selected backend."""
-    if _resolve_for(graph, backend, "knn") == "csr":
+    if _resolve_for(graph, backend) == "csr":
         return kernels.neighbor_connectivity(ensure_csr(graph))
     from repro.metrics import basic
 
@@ -267,7 +241,7 @@ def shared_partner_distribution(
     graph: MultiGraph | CSRGraph, backend: str = "auto"
 ) -> dict[int, float]:
     """``{P(s)}`` on the selected backend."""
-    if _resolve_for(graph, backend, "shared_partners") == "csr":
+    if _resolve_for(graph, backend) == "csr":
         return kernels.shared_partner_distribution(ensure_csr(graph))
     from repro.metrics import clustering
 
@@ -286,7 +260,7 @@ def largest_eigenvalue(
     """
     from repro.metrics import spectral
 
-    if _resolve_for(graph, backend, "spectral") == "csr":
+    if _resolve_for(graph, backend) == "csr":
         csr = ensure_csr(graph)
         if csr.num_nodes == 0 or csr.num_edges == 0:
             return 0.0

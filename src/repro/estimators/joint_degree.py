@@ -35,10 +35,12 @@ def traversed_edges_estimate(
     ``P^_TE(k,k') = (1/(2(r-1))) sum_i [1{d_i=k, d_i+1=k'} + 1{d_i=k', d_i+1=k}]``.
 
     ``backend`` selects the pair-counting path: ``"python"`` is the
-    reference per-step loop; ``"csr"`` (or ``"auto"`` on long walks)
-    vectorizes the count with the engine's walk-sequence kernel — same
-    cells, values equal to float round-off (counts are accumulated
-    multiplicatively instead of additively).
+    reference per-step loop; ``"csr"`` (or ``"auto"`` once the walk
+    reaches the ``walk_pairs`` threshold in
+    :data:`~repro.engine.dispatch.AUTO_KERNEL_THRESHOLDS`) vectorizes the
+    count with the engine's walk-sequence kernel — same cells, values
+    equal to float round-off (counts are accumulated multiplicatively
+    instead of additively).
     """
     index = walk if isinstance(walk, WalkIndex) else WalkIndex(walk)
     degrees = index.degrees
@@ -49,7 +51,7 @@ def traversed_edges_estimate(
         from repro.engine.dispatch import resolve_backend
         from repro.engine.kernels import traversed_pair_counts
 
-        if resolve_backend(backend, size=r) == "csr":
+        if resolve_backend(backend, size=r, kernel="walk_pairs") == "csr":
             return {
                 pair: c * unit
                 for pair, c in traversed_pair_counts(degrees).items()

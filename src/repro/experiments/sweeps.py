@@ -69,9 +69,10 @@ class SweepGrid:
         With a ``context``, every cell carries the context's compute
         backend, its evaluation-mode upgrades, and a per-cell seed
         spawned from the context's base seed; without one, the grid's
-        ``seed`` is threaded as-is into every cell.  An empty axis raises
-        :class:`~repro.errors.ExperimentError` rather than yielding no
-        cells.
+        ``seed`` is threaded as-is into every cell.  An empty axis, or two
+        cells sharing a :func:`cell_key` (which keys their CSV rows),
+        raises :class:`~repro.errors.ExperimentError` before any cell is
+        yielded.
         """
         for axis in ("datasets", "fractions", "rcs", "fault_policies"):
             if not getattr(self, axis):
@@ -93,10 +94,17 @@ class SweepGrid:
             for rc in self.rcs
             for fault_policy in self.fault_policies
         )
-        if context is None:
-            yield from raw
-        else:
-            yield from context.materialize(raw)
+        configs = list(raw) if context is None else context.materialize(raw)
+        seen: set[str] = set()
+        for config in configs:
+            key = cell_key(config)
+            if key in seen:
+                raise ExperimentError(
+                    f"sweep cells share the key {key!r}; each cell needs "
+                    "its own CSV row"
+                )
+            seen.add(key)
+        yield from configs
 
     def size(self) -> int:
         """Number of cells in the grid."""
@@ -108,6 +116,18 @@ class SweepGrid:
         )
 
 
+def cell_key(config: ExperimentConfig) -> str:
+    """Stable label: ``dataset@fraction/rc`` (ideal crawling), with the
+    fault-policy label appended under a non-null regime — so existing
+    CSVs are byte-identical and fault cells are distinguishable within
+    one sweep."""
+    base = f"{config.dataset}@{config.fraction:g}/rc{config.rc:g}"
+    policy = config.fault_policy
+    if policy is not None and not policy.is_null:
+        return f"{base}/{policy.label()}"
+    return base
+
+
 @dataclass
 class SweepCellResult:
     """One completed cell: its config plus per-method aggregates."""
@@ -116,18 +136,8 @@ class SweepCellResult:
     aggregates: dict[str, MethodAggregate]
 
     def key(self) -> str:
-        """Stable label: ``dataset@fraction/rc`` (ideal crawling), with
-        the fault-policy label appended under a non-null regime — so
-        existing CSVs are byte-identical and fault cells are
-        distinguishable within one sweep."""
-        base = (
-            f"{self.config.dataset}@{self.config.fraction:g}"
-            f"/rc{self.config.rc:g}"
-        )
-        policy = self.config.fault_policy
-        if policy is not None and not policy.is_null:
-            return f"{base}/{policy.label()}"
-        return base
+        """The cell's :func:`cell_key`."""
+        return cell_key(self.config)
 
 
 def run_sweep(

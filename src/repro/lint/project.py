@@ -7,11 +7,10 @@ Two tables tie subsystems together and must stay exhaustive:
   ``ERROR_CODES`` (and the table names no ghost classes).  A missing
   entry means a new error serializes as ``"internal"`` and clients lose
   the class on the wire.
-* ``REP302`` — every kernel name the dispatch layer routes by
-  (``_resolve_for(..., "name")`` / ``resolve_backend(kernel="name")``,
-  anywhere in the tree) has a calibrated entry in
-  ``AUTO_KERNEL_THRESHOLDS``.  A missing entry silently falls back to
-  the generic edge threshold, un-calibrating ``backend="auto"``.
+* ``REP302`` — every kernel name passed to dispatch
+  (``resolve_backend(kernel="name")``, anywhere in the tree) has an
+  entry in ``AUTO_KERNEL_THRESHOLDS``.  A name without one is silently
+  ignored: ``backend="auto"`` resolves it to ``csr`` at every size.
 
 Both rules read the AST only — no imports, so a broken tree (the very
 thing they exist to catch) still lints.  When a contract file is absent
@@ -146,25 +145,24 @@ class ErrorCodeExhaustive(ProjectRule):
 def _kernel_references(index: ProjectIndex) -> list[tuple[str, ast.Call, str]]:
     """Every ``(relpath, call node, kernel name)`` routed through dispatch.
 
-    Covers the dispatch module's internal ``_resolve_for(graph, backend,
-    "name")`` calls and every ``resolve_backend(..., kernel="name")``
-    call anywhere in the tree; non-literal kernel arguments (threading a
-    variable through) are out of static reach and skipped.
+    Covers every ``resolve_backend(..., kernel="name")`` call anywhere in
+    the tree; non-literal kernel arguments (threading a variable through)
+    are out of static reach and skipped.
     """
     refs: list[tuple[str, ast.Call, str]] = []
     for relpath, ctx in index.modules.items():
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Name):
                 continue
-            name: ast.expr | None = None
-            if node.func.id == "_resolve_for" and len(node.args) >= 3:
-                name = node.args[2]
-            elif node.func.id == "resolve_backend":
-                for kw in node.keywords:
-                    if kw.arg == "kernel":
-                        name = kw.value
-            if isinstance(name, ast.Constant) and isinstance(name.value, str):
-                refs.append((relpath, node, name.value))
+            if node.func.id != "resolve_backend":
+                continue
+            for kw in node.keywords:
+                if (
+                    kw.arg == "kernel"
+                    and isinstance(kw.value, ast.Constant)
+                    and isinstance(kw.value.value, str)
+                ):
+                    refs.append((relpath, node, kw.value.value))
     return refs
 
 
@@ -184,7 +182,7 @@ class KernelThresholdExhaustive(ProjectRule):
                 message=(
                     f"no module-level dict literal named "
                     f"{config.threshold_table!r} found; auto dispatch needs "
-                    "the calibrated break-even table"
+                    "the size-threshold table"
                 ),
             )
             return
@@ -201,9 +199,9 @@ class KernelThresholdExhaustive(ProjectRule):
                     col=node.col_offset + 1,
                     rule=self.id,
                     message=(
-                        f"kernel {kernel!r} is dispatched but has no calibrated "
+                        f"kernel {kernel!r} is dispatched by name but has no "
                         f"entry in {config.threshold_table}; backend='auto' "
-                        "would fall back to the generic edge threshold"
+                        "would ignore the name and pick csr at every size"
                     ),
                 )
 
@@ -217,6 +215,6 @@ PROJECT_RULES: list[ProjectRule] = [
     KernelThresholdExhaustive(
         "REP302",
         "uncalibrated-kernel",
-        "every dispatched kernel has an entry in AUTO_KERNEL_THRESHOLDS",
+        "every kernel named to resolve_backend has an entry in AUTO_KERNEL_THRESHOLDS",
     ),
 ]

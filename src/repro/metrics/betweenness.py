@@ -22,8 +22,7 @@ Two backends (the ``backend`` keyword, default ``"python"``):
   :mod:`repro.engine.bfs_kernels`: level-synchronous sweeps batched over
   many pivots at once, with the dependency accumulation ordered to replay
   the reference's additions exactly, so the scores are bit-identical for
-  a fixed seed.  ``auto`` picks the kernel from the calibrated
-  ``AUTO_KERNEL_THRESHOLDS["betweenness"]`` break-even.
+  a fixed seed.  ``auto`` picks this kernel at every size.
 """
 
 from __future__ import annotations
@@ -57,13 +56,13 @@ def betweenness_centrality(
     rng:
         Pivot-sampling randomness (consumed identically on every backend).
     backend:
-        ``"python"`` (reference sweeps), ``"csr"`` (batched frontier
-        kernel), or ``"auto"`` (calibrated size cut).  Scores are
-        bit-identical across backends for a fixed seed.
+        ``"python"`` (reference sweeps), or ``"csr"`` / ``"auto"``
+        (batched frontier kernel).  Scores are bit-identical across
+        backends for a fixed seed.
     """
     from repro.engine.dispatch import resolve_backend
 
-    if resolve_backend(backend, size=graph.num_edges, kernel="betweenness") == "csr":
+    if resolve_backend(backend) == "csr":
         from repro.engine import bfs_kernels
         from repro.engine.dispatch import ensure_csr
 

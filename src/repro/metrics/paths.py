@@ -22,8 +22,8 @@ Two backends (the ``backend`` keyword, default ``"python"``):
   over many sources, streaming the length histogram so the distance matrix
   is never materialized.  Bit-identical statistics by construction (the
   distances are integers and the aggregation mirrors the reference
-  expressions operand for operand); ``auto`` picks the kernel from the
-  calibrated ``AUTO_KERNEL_THRESHOLDS["paths"]`` break-even.
+  expressions operand for operand); ``auto`` picks the frontier kernels at
+  every size.
 
 The experiment harness flips to sampling above a configurable node count
 (see :class:`repro.metrics.suite.EvaluationConfig`);
@@ -76,8 +76,8 @@ def shortest_path_stats(
     rng:
         Source-sampling randomness (consumed identically on every backend).
     backend:
-        ``"python"`` (scipy reference), ``"csr"`` (frontier kernels), or
-        ``"auto"`` (calibrated size cut on the component's edge count).
+        ``"python"`` (scipy reference), or ``"csr"`` / ``"auto"``
+        (frontier kernels).
 
     Returns
     -------
@@ -86,7 +86,7 @@ def shortest_path_stats(
     """
     from repro.engine.dispatch import resolve_backend
 
-    if resolve_backend(backend, size=graph.num_edges, kernel="paths") == "csr":
+    if resolve_backend(backend) == "csr":
         return _csr_stats(graph, num_sources, rng)
 
     lcc = largest_connected_component(simplified(graph))
@@ -191,7 +191,7 @@ def eccentricity_lower_bound(
     """
     from repro.engine.dispatch import ensure_csr, resolve_backend
 
-    if resolve_backend(backend, size=graph.num_edges, kernel="paths") == "csr":
+    if resolve_backend(backend) == "csr":
         from repro.engine import bfs_kernels
 
         csr = bfs_kernels.simplified_lcc_snapshot(ensure_csr(graph))

@@ -56,10 +56,13 @@ def matrix_largest_eigenvalue(a, tol: float = 1e-8) -> float:
     converge (tiny or pathological matrices).
 
     The Lanczos start vector is pinned (uniform, the power iteration's
-    start) rather than left to ARPACK's process-state randomness, so the
-    result is a deterministic function of the matrix — the property the
-    executor layer's serial↔parallel bit-identity contract needs, since
-    worker processes each run their own ARPACK.
+    start) rather than left to ARPACK's random default.  The result is
+    still equal only to solver tolerance, not to the last bit, even for
+    one matrix: five calls on the same 13-node multigraph's matrix
+    returned both ``2.0`` and ``2.0000000000000004``, and fresh processes
+    gave different sequences.  Outputs that must match byte for byte
+    (the serial↔parallel contract, the golden digests) therefore see λ1
+    only through the 6-decimal CSV columns.
     """
     n = a.shape[0]
     if n >= 5:

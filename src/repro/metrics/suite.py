@@ -79,10 +79,9 @@ class EvaluationConfig:
     ``RunContext(exact_paths=True)`` / ``--exact-paths``.
 
     ``backend`` selects the compute path for every one of the 12
-    properties: ``"auto"`` routes large graphs through
-    :mod:`repro.engine.dispatch` onto frozen CSR snapshots (per-kernel
-    calibrated break-evens) and leaves small ones on the reference
-    implementation; ``"python"`` / ``"csr"`` force one side.  Results
+    properties: ``"auto"`` routes every graph through
+    :mod:`repro.engine.dispatch` onto frozen CSR snapshots, whatever its
+    size; ``"python"`` / ``"csr"`` force one side.  Results
     agree per the engine's contract: bit-identical on fixed seeds for
     every property except the documented round-off pair — the clustering
     aggregates (different float summation order, ≤1e-12 relative) and λ1

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.engine import (
-    AUTO_EDGE_THRESHOLD,
     CSRGraph,
     batched_random_walks,
     ensure_csr,
@@ -21,7 +20,7 @@ from repro.engine.dispatch import (
     network_clustering as dispatch_clustering,
 )
 from repro.errors import EngineError, GraphError, SamplingError
-from repro.graph.generators import complete_graph, powerlaw_cluster_graph
+from repro.graph.generators import complete_graph
 from repro.graph.multigraph import MultiGraph
 from repro.metrics import basic, clustering
 from repro.sampling.csr_access import CSRGraphAccess
@@ -148,9 +147,9 @@ def test_traversed_pair_counts_matches_loop():
 # dispatch
 # ----------------------------------------------------------------------
 def test_resolve_backend_auto_threshold():
-    assert resolve_backend("auto", size=AUTO_EDGE_THRESHOLD - 1) == "python"
-    assert resolve_backend("auto", size=AUTO_EDGE_THRESHOLD) == "csr"
-    assert resolve_backend("auto") == "python"
+    # with no kernel named there is no threshold: auto is csr at any size
+    assert resolve_backend("auto", size=1) == "csr"
+    assert resolve_backend("auto") == "csr"
     assert resolve_backend("python", size=10**9) == "python"
     assert resolve_backend("csr", size=1) == "csr"
 
@@ -173,14 +172,16 @@ def test_resolve_backend_rejects_unknown():
 def test_resolve_backend_per_kernel_thresholds():
     from repro.engine import AUTO_KERNEL_THRESHOLDS
 
+    assert set(AUTO_KERNEL_THRESHOLDS) == {"rewiring", "walks", "walk_pairs"}
     for kernel, threshold in AUTO_KERNEL_THRESHOLDS.items():
         assert resolve_backend("auto", size=threshold - 1, kernel=kernel) == (
             "python"
         )
         assert resolve_backend("auto", size=threshold, kernel=kernel) == "csr"
-    # unknown kernels fall back to the global default
+        assert resolve_backend("auto", kernel=kernel) == "python"  # size unknown
+    # a kernel without an entry has no threshold to reach
     assert (
-        resolve_backend("auto", size=AUTO_EDGE_THRESHOLD, kernel="mystery")  # reprolint: disable=REP302 fallback path under test
+        resolve_backend("auto", size=1, kernel="mystery")  # reprolint: disable=REP302 unlisted-kernel path under test
         == "csr"
     )
 
@@ -394,7 +395,49 @@ def test_version_counter_tracks_mutations():
     assert g.version == v2
 
 
-def test_auto_backend_picks_csr_for_large_graphs():
-    # resolve only; building a >=20k-edge graph here would slow the suite
-    g = powerlaw_cluster_graph(60, 3, 0.2, rng=1)
-    assert resolve_backend("auto", size=g.num_edges) == "python"
+def test_auto_backend_picks_csr_for_large_graphs(monkeypatch):
+    # every property kernel resolves to csr under auto, down to one edge;
+    # they name no kernel, so no threshold applies
+    import repro.engine.dispatch as dispatch
+    from repro.engine import AUTO_KERNEL_THRESHOLDS
+    from repro.metrics.betweenness import betweenness_centrality
+    from repro.metrics.paths import eccentricity_lower_bound, shortest_path_stats
+
+    decisions = []
+
+    def recorded(*args, **kwargs):
+        choice = resolve_backend(*args, **kwargs)
+        decisions.append((kwargs.get("kernel"), choice))
+        return choice
+
+    monkeypatch.delenv("REPRO_BACKEND", raising=False)
+    monkeypatch.setattr(dispatch, "resolve_backend", recorded)
+    kernels_under_test = (
+        dispatch.degree_vector,
+        dispatch.degree_distribution,
+        dispatch.joint_degree_matrix,
+        dispatch.joint_degree_distribution,
+        dispatch.triangles_per_node,
+        dispatch.network_clustering,
+        dispatch.degree_dependent_clustering,
+        dispatch.neighbor_connectivity,
+        dispatch.shared_partner_distribution,
+        dispatch.largest_eigenvalue,
+        shortest_path_stats,
+        eccentricity_lower_bound,
+        betweenness_centrality,
+    )
+    g = MultiGraph.from_edges([(0, 1)])
+    for fn in kernels_under_test:
+        fn(g, backend="auto")
+    assert decisions == [(None, "csr")] * len(kernels_under_test)
+    # the three table entries still compare their size ...
+    for kernel, threshold in AUTO_KERNEL_THRESHOLDS.items():
+        assert resolve_backend("auto", size=1, kernel=kernel) == "python"
+        assert resolve_backend("auto", size=threshold, kernel=kernel) == "csr"
+    # ... and REPRO_BACKEND still wins over auto
+    monkeypatch.setenv("REPRO_BACKEND", "python")
+    decisions.clear()
+    dispatch.degree_vector(g)
+    shortest_path_stats(g, backend="auto")
+    assert decisions == [(None, "python")] * 2

@@ -591,13 +591,16 @@ class TestContractWiring:
             tmp_path,
             {
                 "src/repro/engine/dispatch.py": """\
-                AUTO_KERNEL_THRESHOLDS = {"degree": 100}
+                AUTO_KERNEL_THRESHOLDS = {"rewiring": 100}
 
-                def _resolve_for(graph, backend, kernel):
+                def resolve_backend(backend, *, size=None, kernel=None):
                     return backend
 
-                def degree_vector(graph, backend="auto"):
-                    return _resolve_for(graph, backend, "degree")
+                def _resolve_for(graph, backend):
+                    return resolve_backend(backend)
+
+                def rewiring_core(attempts, backend="auto"):
+                    return resolve_backend(backend, size=attempts, kernel="rewiring")
                 """,
             },
         )
@@ -609,13 +612,13 @@ class TestContractWiring:
             tmp_path,
             {
                 "src/repro/engine/dispatch.py": """\
-                AUTO_KERNEL_THRESHOLDS = {"degree": 100}
+                AUTO_KERNEL_THRESHOLDS = {"rewiring": 100}
 
-                def _resolve_for(graph, backend, kernel):
+                def resolve_backend(backend, *, size=None, kernel=None):
                     return backend
 
                 def triangles(graph, backend="auto"):
-                    return _resolve_for(graph, backend, "triangles")
+                    return resolve_backend(backend, size=graph.num_edges, kernel="triangles")
                 """,
             },
         )
@@ -628,7 +631,7 @@ class TestContractWiring:
             tmp_path,
             {
                 "src/repro/engine/dispatch.py": (
-                    'AUTO_KERNEL_THRESHOLDS = {"degree": 100}\n'
+                    'AUTO_KERNEL_THRESHOLDS = {"rewiring": 100}\n'
                 ),
                 "src/repro/sampling/walkers.py": """\
                 def pick(resolve_backend):

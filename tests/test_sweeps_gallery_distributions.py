@@ -23,6 +23,7 @@ from repro.metrics.distributions import (
     tail_exponent_estimate,
 )
 from repro.metrics.suite import EvaluationConfig
+from repro.sampling.faults import FaultPolicy
 from repro.viz.gallery import build_gallery, save_gallery
 
 FAST_EVAL = EvaluationConfig(exact_threshold=200, path_sources=32, betweenness_pivots=16)
@@ -47,13 +48,21 @@ class TestSweeps:
         assert len(cells) == 2
         assert {c.fraction for c in cells} == {0.1, 0.2}
 
-    def test_empty_grid_rejected(self):
+    def test_degenerate_grid_rejected(self):
         for grid in (
             SweepGrid(datasets=()),
             SweepGrid(datasets=("anybeat",), fractions=()),
             SweepGrid(datasets=("anybeat",), rcs=()),
         ):
             with pytest.raises(ExperimentError):
+                list(grid.cells())
+        # cells that share a CSV key would silently write one row for two
+        for grid in (
+            SweepGrid(datasets=("anybeat",), fractions=(0.1, 0.1)),
+            SweepGrid(datasets=("anybeat",), fault_policies=(None, FaultPolicy())),
+            SweepGrid(datasets=("anybeat",), fractions=(0.1, 0.1000001)),
+        ):
+            with pytest.raises(ExperimentError, match="anybeat@0.1/rc50"):
                 list(grid.cells())
 
     def test_run_sweep_with_checkpoint(self, grid, tmp_path):
