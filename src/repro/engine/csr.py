@@ -25,10 +25,13 @@ special casing, a uniform draw over a node's slots is exactly the walk's
 matrix (``A_uu`` = twice the loop count, the paper's convention) is one
 ``sum_duplicates`` away.
 
-``freeze`` is the only O(m)-in-Python step; every kernel afterwards touches
-the arrays through vectorized numpy/scipy operations.  ``thaw`` restores an
-equivalent :class:`MultiGraph` (same nodes, same multiplicities), closing
-the round trip that the equivalence tests assert.
+``freeze`` is the only step that walks the adjacency in Python: one pass
+gathers every node's neighbor positions and multiplicities, then one
+``cumsum`` builds ``indptr`` and one ``np.repeat`` builds ``indices``.
+Every kernel afterwards touches the arrays through vectorized numpy/scipy
+operations.  ``thaw`` restores an equivalent :class:`MultiGraph` (same
+nodes, same multiplicities), closing the round trip that the equivalence
+tests assert.
 """
 
 from __future__ import annotations
@@ -261,7 +264,8 @@ class CSRGraph:
 def freeze(graph: MultiGraph) -> CSRGraph:
     """Snapshot ``graph`` into a :class:`CSRGraph`.
 
-    The engine's only O(m)-in-Python step; prefer
+    The engine's only Python pass over the adjacency (one gather per
+    adjacency entry, then one ``cumsum`` and one ``np.repeat``); prefer
     :func:`repro.engine.dispatch.ensure_csr`, which caches one snapshot
     per graph version so repeated metrics share it.
 
@@ -282,17 +286,20 @@ def freeze(graph: MultiGraph) -> CSRGraph:
     """
     nodes = tuple(graph.nodes())
     index = {u: i for i, u in enumerate(nodes)}
-    n = len(nodes)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    for i, u in enumerate(nodes):
-        indptr[i + 1] = indptr[i] + graph.degree(u)
-    indices = np.empty(int(indptr[-1]), dtype=np.int64)
-    pos = 0
+    degrees: list[int] = []
+    neighbors: list[int] = []
+    multiplicities: list[int] = []
     for u in nodes:
-        for v, a in graph.adjacency_view(u).items():
-            j = index[v]
-            indices[pos : pos + a] = j
-            pos += a
+        adjacency = graph.adjacency_view(u)
+        degrees.append(sum(adjacency.values()))
+        neighbors.extend(map(index.__getitem__, adjacency))
+        multiplicities.extend(adjacency.values())
+    indptr = np.zeros(len(nodes) + 1, dtype=np.int64)
+    np.cumsum(degrees, out=indptr[1:])
+    indices = np.repeat(
+        np.array(neighbors, dtype=np.int64),
+        np.array(multiplicities, dtype=np.int64),
+    )
     return CSRGraph(nodes, indptr, indices, graph.num_edges)
 
 

@@ -18,8 +18,8 @@ Every function here accepts either a mutable :class:`MultiGraph` or a frozen
 
 Freeze caching
 --------------
-``freeze`` is the engine's only per-edge Python loop, so it must not run
-once per metric.  :func:`ensure_csr` keeps one snapshot per live
+``freeze`` is the engine's only Python pass over the adjacency, so it must
+not run once per metric.  :func:`ensure_csr` keeps one snapshot per live
 ``MultiGraph`` in a :class:`weakref.WeakKeyDictionary`, keyed alongside the
 graph's mutation :attr:`~repro.graph.multigraph.MultiGraph.version`; any
 structural change invalidates the entry, so a rewired graph is never served

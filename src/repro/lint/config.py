@@ -39,11 +39,15 @@ DEFAULT_WALLCLOCK_ALLOWLIST: tuple[str, ...] = (
 )
 
 #: Layers whose iteration order feeds deterministic outputs (``REP401``):
-#: the engine kernels, the sampling/crawl layer, the experiment harness,
-#: and the graph substrate/generators they all build on.
+#: the engine kernels, the sampling/crawl layer, the estimators, target
+#: construction and the dK graph generators, the experiment harness, and
+#: the graph substrate/generators they all build on.
 DEFAULT_ORDERED_LAYERS: tuple[str, ...] = (
     "src/repro/engine/*",
     "src/repro/sampling/*",
+    "src/repro/estimators/*",
+    "src/repro/restore/*",
+    "src/repro/dk/*",
     "src/repro/experiments/*",
     "src/repro/graph/*",
 )

@@ -19,6 +19,7 @@ from __future__ import annotations
 import ast
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from typing import TypeGuard
 
 from repro.lint.config import LintConfig
 from repro.lint.diagnostics import Diagnostic
@@ -488,24 +489,65 @@ def _is_set_expr(node: ast.expr) -> bool:
     )
 
 
+def _is_set_annotation(node: ast.expr) -> bool:
+    """``set`` / ``frozenset``, bare or subscripted (``set[int]``)."""
+    if isinstance(node, ast.Subscript):
+        node = node.value
+    return isinstance(node, ast.Name) and node.id in ("set", "frozenset")
+
+
+def _is_self_attribute(node: ast.expr) -> TypeGuard[ast.Attribute]:
+    return (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    )
+
+
+def _set_attributes(ctx: ModuleContext) -> set[str]:
+    """Attribute names the module holds sets in: ``self.<name>`` assigned a
+    set display / ``set()`` / set comprehension, and ``self.<name>`` or a
+    class-body ``<name>`` annotated ``set[...]``."""
+    names: set[str] = set()
+    for node in ast.walk(ctx.tree):
+        if isinstance(node, ast.Assign) and _is_set_expr(node.value):
+            names.update(t.attr for t in node.targets if _is_self_attribute(t))
+        elif isinstance(node, ast.AnnAssign) and (
+            _is_set_annotation(node.annotation)
+            or (node.value is not None and _is_set_expr(node.value))
+        ):
+            if _is_self_attribute(node.target):
+                names.add(node.target.attr)
+            elif isinstance(node.target, ast.Name) and isinstance(
+                ctx.parents.get(node), ast.ClassDef
+            ):
+                names.add(node.target.id)
+    return names
+
+
 class _SetIterScan(ast.NodeVisitor):
     """Scoped scan for iteration over set-typed expressions.
 
     Tracks, per function scope, local names whose latest assignment is a
-    set display / ``set()`` / set comprehension, then flags ``for`` loops
-    and comprehension generators (and ``list()``/``tuple()`` wraps) that
-    iterate one without ``sorted()``.
+    set display / ``set()`` / set comprehension, and module-wide the
+    attribute names :func:`_set_attributes` finds; then flags ``for``
+    loops and comprehension generators (and ``list()``/``tuple()`` wraps)
+    that iterate such a local, or ``<expr>.<name>`` for such an attribute
+    name, without ``sorted()``.
     """
 
     def __init__(self, rule: "UnsortedSetIteration", ctx: ModuleContext) -> None:
         self.rule = rule
         self.ctx = ctx
         self.scopes: list[dict[str, bool]] = [{}]
+        self.set_attributes = _set_attributes(ctx)
         self.findings: list[Diagnostic] = []
 
     def _is_set_valued(self, node: ast.expr) -> bool:
         if _is_set_expr(node):
             return True
+        if isinstance(node, ast.Attribute):
+            return node.attr in self.set_attributes
         if isinstance(node, ast.Name):
             for scope in reversed(self.scopes):
                 if node.id in scope:

@@ -139,7 +139,16 @@ def _modify_for_subgraph(
     subgraph: SampledSubgraph,
     rng: random.Random,
 ) -> None:
-    """Algorithm 2: assign ``d*_i`` to subgraph nodes and establish DV-3."""
+    """Algorithm 2: assign ``d*_i`` to subgraph nodes and establish DV-3.
+
+    Each visible node draws uniformly from the multiset ``D_seq`` in which
+    each feasible degree ``k in [d'_i, k*_max]`` appears ``n*(k) - n'(k)``
+    times.  The slack ``n*(k) - n'(k)`` lives in a :class:`_SlackTree`, so
+    a draw is one prefix query, one ``rng.randrange`` over the feasible
+    total and one descent to the smallest degree whose running slack
+    exceeds the pick.  When the multiset is empty, the node takes the
+    feasible degree with the smallest ``Δ+`` (ties to the smallest degree).
+    """
     graph = subgraph.graph
     counts = targets.counts
     assigned = targets.target_degrees
@@ -154,51 +163,86 @@ def _modify_for_subgraph(
         if counts.get(k, 0) < have:
             counts[k] = have
 
+    # never negative: n*(k) was just raised to every census count above it
+    slack = _SlackTree(
+        [counts.get(k, 0) - census.get(k, 0) for k in range(1, targets.k_max + 1)]
+    )
     # visible nodes: decreasing subgraph degree (ties by id, deterministic)
     visible = sorted(
         subgraph.visible, key=lambda v: (-graph.degree(v), _sort_key(v))
     )
     for node in visible:
         d_floor = graph.degree(node)
-        k = _draw_target_degree(targets, estimates, census, d_floor, rng)
+        below = slack.prefix(d_floor - 1)
+        total = slack.total - below
+        if total > 0:
+            k = slack.search(below + rng.randrange(total))
+            slack.take(k)
+        else:  # k has no slack, and n*(k) follows the census up below
+            k = _cheapest_degree(estimates, counts, d_floor, targets.k_max)
         assigned[node] = k
         census[k] = census.get(k, 0) + 1
         if counts.get(k, 0) < census[k]:
             counts[k] = census[k]
 
 
-def _draw_target_degree(
-    targets: DegreeVectorTargets,
-    estimates: LocalEstimates,
-    census: dict[int, int],
-    d_floor: int,
-    rng: random.Random,
-) -> int:
-    """One visible node's target degree.
+class _SlackTree:
+    """Fenwick tree over the slack ``n*(k) - n'(k)`` of degrees ``1..k_max``.
 
-    Draw uniformly from the multiset ``D_seq`` in which each feasible degree
-    ``k in [d_floor, k_max]`` appears ``n*(k) - n'(k)`` times; when the
-    multiset is empty, pick the feasible degree with the smallest ``Δ+``
-    (ties to the smallest degree).
+    Built from ``slack[k - 1]`` per degree ``k``.  Every slack must be
+    non-negative, so prefix sums ascend with ``k`` and :meth:`search` can
+    descend them.
     """
-    counts = targets.counts
-    capacity: list[tuple[int, int]] = []
-    total = 0
-    for k in range(d_floor, targets.k_max + 1):
-        slack = counts.get(k, 0) - census.get(k, 0)
-        if slack > 0:
-            capacity.append((k, slack))
-            total += slack
-    if total > 0:
-        pick = rng.randrange(total)
-        for k, slack in capacity:
-            pick -= slack
-            if pick < 0:
-                return k
-        raise AssertionError("unreachable: weighted draw fell through")
+
+    def __init__(self, slack: list[int]) -> None:
+        tree = [0, *slack]
+        size = len(slack)
+        for i in range(1, size + 1):
+            parent = i + (i & -i)
+            if parent <= size:
+                tree[parent] += tree[i]
+        self.tree = tree
+        self.size = size
+        self.total = sum(slack)
+
+    def prefix(self, k: int) -> int:
+        """Slack summed over degrees ``1..k``."""
+        tree = self.tree
+        out = 0
+        while k > 0:
+            out += tree[k]
+            k &= k - 1
+        return out
+
+    def search(self, pick: int) -> int:
+        """Smallest degree whose prefix slack exceeds ``pick``."""
+        tree = self.tree
+        pos = 0
+        step = 1 << self.size.bit_length()
+        while step:
+            nxt = pos + step
+            if nxt <= self.size and tree[nxt] <= pick:
+                pos = nxt
+                pick -= tree[nxt]
+            step >>= 1
+        return pos + 1
+
+    def take(self, k: int) -> None:
+        """Remove one unit of slack at degree ``k``."""
+        tree = self.tree
+        while k <= self.size:
+            tree[k] -= 1
+            k += k & -k
+        self.total -= 1
+
+
+def _cheapest_degree(
+    estimates: LocalEstimates, counts: dict[int, int], d_floor: int, k_max: int
+) -> int:
+    """Feasible degree in ``[d_floor, k_max]`` with the smallest ``Δ+``."""
     best_k = d_floor
     best_cost = math.inf
-    for k in range(d_floor, targets.k_max + 1):
+    for k in range(d_floor, k_max + 1):
         cost = delta_plus(estimates, counts, k)
         if cost < best_cost:
             best_cost = cost

@@ -61,12 +61,13 @@ def build_target_jdm(
     """
     r = ensure_rng(rng)
     jdm = _initialize(estimates, dv_targets.k_max)
+    m_hat = _raw_targets(estimates)
     zeros: dict[DegreePair, int] = {}
-    _adjust(jdm, estimates, dv_targets, lower_limits=zeros, rng=r)
+    _adjust(jdm, m_hat, dv_targets, lower_limits=zeros, rng=r)
     if subgraph is not None:
         census = _subgraph_pair_census(subgraph.graph, dv_targets.target_degrees)
-        _modify_for_subgraph(jdm, estimates, dv_targets, census, r)
-        _adjust(jdm, estimates, dv_targets, lower_limits=census, rng=r)
+        _modify_for_subgraph(jdm, m_hat, dv_targets, census, r)
+        _adjust(jdm, m_hat, dv_targets, lower_limits=census, rng=r)
     return jdm
 
 
@@ -82,6 +83,23 @@ def _initialize(estimates: LocalEstimates, k_max: int) -> dict[DegreePair, int]:
         jdm[(k, kp)] = value
         jdm[(kp, k)] = value
     return jdm
+
+
+def _raw_targets(estimates: LocalEstimates) -> dict[int, dict[int, float]]:
+    """``m^(k,k')`` by row ``k``, for every pair that may be adjusted.
+
+    A pair without a positive ``P^(k,k')`` or ``m^(k,k')`` is left out:
+    changing its cell has an infinite error delta.
+    """
+    m_hat: dict[int, dict[int, float]] = {}
+    for (k, kp), p in estimates.joint_degree_distribution.items():
+        if p <= 0.0:
+            continue
+        m = estimates.m_of_pair(k, kp)
+        if m <= 0.0:
+            continue
+        m_hat.setdefault(k, {})[kp] = m
+    return m_hat
 
 
 def _subgraph_pair_census(
@@ -108,24 +126,34 @@ class _Adjuster:
     def __init__(
         self,
         jdm: dict[DegreePair, int],
-        estimates: LocalEstimates,
+        m_hat: dict[int, dict[int, float]],
         dv_targets: DegreeVectorTargets,
         lower_limits: dict[DegreePair, int],
         rng: random.Random,
     ) -> None:
         self.jdm = jdm
-        self.estimates = estimates
+        self.m_hat = m_hat
         self.dv = dv_targets
-        self.limits = lower_limits
         self.rng = rng
         self.sums: dict[int, int] = {}
+        # row indexes: the nonzero cells of the JDM and the lower limits
+        self.rows: dict[int, dict[int, int]] = {}
         for (a, b), v in jdm.items():
             self.sums[a] = self.sums.get(a, 0) + mu(a, b) * v
+            self.rows.setdefault(a, {})[b] = v
+        self.limits: dict[int, dict[int, int]] = {}
+        for (a, b), v in lower_limits.items():
+            self.limits.setdefault(a, {})[b] = v
         # the adjustable set D: initially unbalanced classes, plus class 1
-        self.adjustable: set[int] = {1}
+        adjustable = {1}
         for k in range(1, dv_targets.k_max + 1):
             if self.s(k) != self.s_star(k):
-                self.adjustable.add(k)
+                adjustable.add(k)
+        # D is fixed for the run, and the candidate lists follow its set
+        # iteration order, which is not ascending ({1, 3, 17, 33, 50}
+        # iterates as 1, 33, 3, 17, 50).  rng.choice breaks cost ties by
+        # position in that order, so the order is part of the output.
+        self.adjustable = list(adjustable)  # reprolint: disable=REP401 the golden digests pin this order
 
     def s(self, k: int) -> int:
         """Present class degree mass."""
@@ -135,23 +163,21 @@ class _Adjuster:
         """Target class degree mass ``k n*(k)``."""
         return k * self.dv.counts.get(k, 0)
 
-    def cell(self, k: int, kp: int) -> int:
-        return self.jdm.get((k, kp), 0)
-
-    def limit(self, k: int, kp: int) -> int:
-        return self.limits.get((k, kp), 0)
-
     def bump(self, k: int, kp: int, sign: int) -> None:
         """Apply ``m*(k,kp) += sign`` symmetrically and maintain the sums."""
-        new = self.cell(k, kp) + sign
+        new = self.jdm.get((k, kp), 0) + sign
         if new < 0:
             raise RealizabilityError(f"m*({k},{kp}) would go negative")
         if new == 0:
             self.jdm.pop((k, kp), None)
             self.jdm.pop((kp, k), None)
+            self.rows[k].pop(kp, None)
+            self.rows[kp].pop(k, None)
         else:
             self.jdm[(k, kp)] = new
             self.jdm[(kp, k)] = new
+            self.rows.setdefault(k, {})[kp] = new
+            self.rows.setdefault(kp, {})[k] = new
         if k == kp:
             self.sums[k] = self.sums.get(k, 0) + 2 * sign
         else:
@@ -162,23 +188,20 @@ class _Adjuster:
         """Raise ``n*(k)`` (shifts ``s*(k)`` upward by ``k * amount``)."""
         self.dv.counts[k] = self.dv.counts.get(k, 0) + amount
 
-    # -- error deltas ----------------------------------------------------
-    def delta(self, k: int, kp: int, sign: int) -> float:
-        """Relative-error increase of ``m*(k,kp) += sign`` (Δ+ / Δ-)."""
-        if self.estimates.p_joint(k, kp) <= 0.0:
-            return math.inf
-        m_hat = self.estimates.m_of_pair(k, kp)
-        if m_hat <= 0.0:
-            return math.inf
-        current = self.cell(k, kp)
-        return (abs(m_hat - (current + sign)) - abs(m_hat - current)) / m_hat
-
     def pick_best(self, candidates: list[int], k: int, sign: int) -> int:
-        """Candidate ``k'`` minimizing the error delta, random among ties."""
+        """Candidate ``k'`` minimizing the relative-error increase of
+        ``m*(k,k') += sign`` (Δ+ / Δ-), random among ties."""
+        row = self.rows.get(k, {})
+        m_row = self.m_hat.get(k, {})
         best_cost = math.inf
         best: list[int] = []
         for kp in candidates:
-            cost = self.delta(k, kp, sign)
+            m = m_row.get(kp)
+            if m is None:
+                cost = math.inf
+            else:
+                current = row.get(kp, 0)
+                cost = (abs(m - (current + sign)) - abs(m - current)) / m
             if cost < best_cost:
                 best_cost = cost
                 best = [kp]
@@ -191,12 +214,12 @@ class _Adjuster:
 
 def _adjust(
     jdm: dict[DegreePair, int],
-    estimates: LocalEstimates,
+    m_hat: dict[int, dict[int, float]],
     dv_targets: DegreeVectorTargets,
     lower_limits: dict[DegreePair, int],
     rng: random.Random,
 ) -> None:
-    state = _Adjuster(jdm, estimates, dv_targets, lower_limits, rng)
+    state = _Adjuster(jdm, m_hat, dv_targets, lower_limits, rng)
     steps = 0
     for k in sorted(state.adjustable, reverse=True):
         if k == 1 and abs(state.s(1) - state.s_star(1)) % 2 == 1:
@@ -231,12 +254,14 @@ def _raise_class(state: _Adjuster, k: int) -> None:
 def _lower_class(state: _Adjuster, k: int) -> None:
     """One decrease step for class ``k`` (lines 10-20 of Algorithm 3)."""
     gap_is_one = state.s(k) == state.s_star(k) + 1
+    row = state.rows.get(k, {})
+    limits = state.limits.get(k, {})
     candidates = [
         kp
         for kp in state.adjustable
         if kp <= k
         and not (gap_is_one and kp == k)
-        and state.cell(k, kp) > state.limit(k, kp)
+        and row.get(kp, 0) > limits.get(kp, 0)
     ]
     if candidates:
         kp = state.pick_best(candidates, k, sign=-1)
@@ -254,40 +279,37 @@ def _lower_class(state: _Adjuster, k: int) -> None:
 # ----------------------------------------------------------------------
 def _modify_for_subgraph(
     jdm: dict[DegreePair, int],
-    estimates: LocalEstimates,
+    m_hat: dict[int, dict[int, float]],
     dv_targets: DegreeVectorTargets,
     census: dict[DegreePair, int],
     rng: random.Random,
 ) -> None:
-    state = _Adjuster(jdm, estimates, dv_targets, lower_limits=census, rng=rng)
-    k_max = dv_targets.k_max
+    state = _Adjuster(jdm, m_hat, dv_targets, lower_limits=census, rng=rng)
     for (k1, k2), need in sorted(census.items()):
         if k2 < k1:
             continue  # symmetric census: visit each unordered pair once
-        while state.cell(k1, k2) < need:
+        while jdm.get((k1, k2), 0) < need:
             state.bump(k1, k2, +1)
-            k3 = _compensate(state, k_class=k1, exclude=k2, k_max=k_max)
-            k4 = _compensate(state, k_class=k2, exclude=k2, k_max=k_max)
+            k3 = _compensate(state, k_class=k1, exclude=k2)
+            k4 = _compensate(state, k_class=k2, exclude=k2)
             if k3 is not None and k4 is not None:
                 state.bump(k3, k4, +1)
 
 
-def _compensate(
-    state: _Adjuster, k_class: int, exclude: int, k_max: int
-) -> int | None:
+def _compensate(state: _Adjuster, k_class: int, exclude: int) -> int | None:
     """Lower one slack cell of ``k_class`` to offset a forced raise.
 
-    Returns the sibling degree lowered, or None when every cell of the
-    class is pinned at its census (the later re-run of Algorithm 3 repairs
-    the class sum instead).
+    Only nonzero cells can sit above their census, so the candidates come
+    from the row index, in ascending ``k'`` order.  Returns the sibling
+    degree lowered, or None when every cell of the class is pinned at its
+    census (the later re-run of Algorithm 3 repairs the class sum instead).
     """
-    candidates = [
+    limits = state.limits.get(k_class, {})
+    candidates = sorted(
         kp
-        for kp in range(1, k_max + 1)
-        if kp != k_class
-        and kp != exclude
-        and state.cell(k_class, kp) > state.limit(k_class, kp)
-    ]
+        for kp, value in state.rows.get(k_class, {}).items()
+        if kp != k_class and kp != exclude and value > limits.get(kp, 0)
+    )
     if not candidates:
         return None
     kp = state.pick_best(candidates, k_class, sign=-1)

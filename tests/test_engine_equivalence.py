@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -60,6 +61,36 @@ def test_freeze_thaw_roundtrip(edges, extra_nodes):
     assert t.num_edges == g.num_edges
     for u in g.nodes():
         assert t.neighbor_multiplicities(u) == g.neighbor_multiplicities(u)
+
+
+def reference_freeze_arrays(graph: MultiGraph):
+    """``freeze``'s former per-entry loop: the byte-level oracle."""
+    nodes = tuple(graph.nodes())
+    index = {u: i for i, u in enumerate(nodes)}
+    indptr = np.zeros(len(nodes) + 1, dtype=np.int64)
+    for i, u in enumerate(nodes):
+        indptr[i + 1] = indptr[i] + graph.degree(u)
+    indices = np.empty(int(indptr[-1]), dtype=np.int64)
+    pos = 0
+    for u in nodes:
+        for v, a in graph.adjacency_view(u).items():
+            indices[pos : pos + a] = index[v]
+            pos += a
+    return indptr, indices
+
+
+@given(edge_lists, isolated, st.lists(st.integers(0, 79), max_size=10))
+def test_freeze_arrays_match_reference_loop(edges, extra_nodes, removals):
+    g = build(edges, extra_nodes)
+    for i in removals:  # emptied rows and reordered adjacency dicts
+        u, v = edges[i % len(edges)]
+        if g.has_edge(u, v):
+            g.remove_edge(u, v)
+    csr = freeze(g)
+    indptr, indices = reference_freeze_arrays(g)
+    for got, want in ((csr.indptr, indptr), (csr.indices, indices)):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 @given(edge_lists)

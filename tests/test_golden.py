@@ -10,7 +10,10 @@ never raw floats: λ1 agrees between calls only to solver tolerance.
 
 ``tests/golden/digests.json`` records the python, numpy and scipy
 versions it was made with; under another numpy or scipy major.minor the
-tests skip.  Regenerate it only on purpose, and say why in CHANGES.md::
+tests skip.  CI's Python 3.12 leg pins those major.minor versions and
+fails if any of these tests skips there.  The 3.10 leg always skips them:
+numpy >= 2.3 needs Python >= 3.11.  Regenerate the file only on purpose,
+and say why in CHANGES.md::
 
     PYTHONPATH=src python -m pytest tests/test_golden.py --regen-golden
 """

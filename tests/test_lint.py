@@ -757,6 +757,109 @@ class TestOrdering:
         )
         assert findings == []
 
+    @pytest.mark.parametrize("layer", ["estimators", "restore", "dk"])
+    def test_rep401_target_construction_layers_are_ordered(self, tmp_path, layer):
+        findings = lint_snippet(
+            tmp_path,
+            """\
+            def f(xs):
+                uniq = set(xs)
+                return list(uniq)
+            """,
+            relpath=f"src/repro/{layer}/mod.py",
+        )
+        assert rules_of(findings) == ["REP401"]
+
+    def test_rep401_for_over_self_set_attribute(self, tmp_path):
+        findings = lint_snippet(
+            tmp_path,
+            """\
+            class State:
+                def __init__(self, xs):
+                    self.pending = {1}
+                    self.pending.update(xs)
+
+            def drain(state):
+                out = []
+                for x in state.pending:
+                    out.append(x)
+                return out
+            """,
+        )
+        assert rules_of(findings) == ["REP401"]
+
+    def test_rep401_comprehension_over_annotated_set_attribute(self, tmp_path):
+        findings = lint_snippet(
+            tmp_path,
+            """\
+            class State:
+                def __init__(self, xs):
+                    self.pending: set[int] = make(xs)
+
+            def pick(state, k):
+                return [x for x in state.pending if x <= k]
+            """,
+        )
+        assert rules_of(findings) == ["REP401"]
+
+    def test_rep401_list_wrap_of_set_field(self, tmp_path):
+        findings = lint_snippet(
+            tmp_path,
+            """\
+            from dataclasses import dataclass, field
+
+            @dataclass
+            class State:
+                pending: set[int] = field(default_factory=set)
+
+            def snapshot(state):
+                return list(state.pending)
+            """,
+        )
+        assert rules_of(findings) == ["REP401"]
+
+    def test_rep401_sorted_set_attribute_is_clean(self, tmp_path):
+        findings = lint_snippet(
+            tmp_path,
+            """\
+            class State:
+                def __init__(self, xs):
+                    self.pending = set(xs)
+
+            def drain(state):
+                return [x for x in sorted(state.pending)]
+            """,
+        )
+        assert findings == []
+
+    def test_rep401_list_attribute_is_clean(self, tmp_path):
+        findings = lint_snippet(
+            tmp_path,
+            """\
+            class State:
+                def __init__(self, xs):
+                    self.pending = list(xs)
+
+            def drain(state):
+                return [x for x in state.pending]
+            """,
+        )
+        assert findings == []
+
+    def test_rep401_set_attribute_suppressed(self, tmp_path):
+        findings = lint_snippet(
+            tmp_path,
+            """\
+            class State:
+                def __init__(self, xs):
+                    self.pending = set(xs)
+
+            def total(state):
+                return sum(x for x in state.pending)  # reprolint: disable=REP401 sum
+            """,
+        )
+        assert findings == []
+
 
 # ----------------------------------------------------------------------
 # baseline
