@@ -9,10 +9,7 @@ child's ``ru_maxrss``.  It shows which phase grows fastest with the graph
 and whether memory or time limits a paper-scale run.
 
 Opt-in and kept out of CI: the two restores take minutes and ~1 GB of
-memory.  Knobs (environment):
-
-    BENCH_PAPER_SCALE    set to 1 to run (the bench skips otherwise)
-    BENCH_PAPER_SCALES   comma-separated youtube scales (default "10,50")
+memory.  Set ``BENCH_PAPER_SCALE=1`` to run; the bench skips otherwise.
 """
 
 from __future__ import annotations
@@ -27,9 +24,7 @@ import sys
 import pytest
 from conftest import write_json
 
-SCALES = tuple(
-    float(s) for s in os.environ.get("BENCH_PAPER_SCALES", "10,50").split(",")
-)
+SCALES = (10.0, 50.0)
 FRACTION = 0.1
 RC = 50.0
 SEED = 1

@@ -818,20 +818,6 @@ class TestOrdering:
         )
         assert rules_of(findings) == ["REP401"]
 
-    def test_rep401_sorted_set_attribute_is_clean(self, tmp_path):
-        findings = lint_snippet(
-            tmp_path,
-            """\
-            class State:
-                def __init__(self, xs):
-                    self.pending = set(xs)
-
-            def drain(state):
-                return [x for x in sorted(state.pending)]
-            """,
-        )
-        assert findings == []
-
     def test_rep401_list_attribute_is_clean(self, tmp_path):
         findings = lint_snippet(
             tmp_path,
@@ -842,20 +828,6 @@ class TestOrdering:
 
             def drain(state):
                 return [x for x in state.pending]
-            """,
-        )
-        assert findings == []
-
-    def test_rep401_set_attribute_suppressed(self, tmp_path):
-        findings = lint_snippet(
-            tmp_path,
-            """\
-            class State:
-                def __init__(self, xs):
-                    self.pending = set(xs)
-
-            def total(state):
-                return sum(x for x in state.pending)  # reprolint: disable=REP401 sum
             """,
         )
         assert findings == []
