@@ -5,8 +5,10 @@ pooled, ``python`` vs ``csr``), so a change that moves every number at
 once passes them all.  These tests pin the bytes themselves: the SHA-256
 of a small sweep's ``include_timings=False`` CSV and of the edge lists
 ``repro restore --out`` writes, each under ``auto`` and forced
-``python``.  Only the 6-decimal CSV and integer edge lists are digested,
-never raw floats: λ1 agrees between calls only to solver tolerance.
+``python``, and of what ``repro convergence`` prints.  Only the
+6-decimal CSV, integer edge lists and 3-decimal convergence tables are
+digested, never raw floats: λ1 agrees between calls only to solver
+tolerance.
 
 ``tests/golden/digests.json`` records the python, numpy and scipy
 versions it was made with; under another numpy or scipy major.minor the
@@ -39,6 +41,7 @@ GOLDEN_PATH = Path(__file__).parent / "golden" / "digests.json"
 
 BACKENDS = ("auto", "python")
 RESTORE_DATASETS = ("anybeat", "youtube")
+CONVERGENCE_DATASETS = ("anybeat", "youtube")
 
 GRID = SweepGrid(
     datasets=("anybeat", "youtube"),
@@ -59,7 +62,7 @@ CASES = [f"sweep/{backend}" for backend in BACKENDS] + [
     f"restore/{dataset}/{backend}"
     for dataset in RESTORE_DATASETS
     for backend in BACKENDS
-]
+] + [f"convergence/{dataset}" for dataset in CONVERGENCE_DATASETS]
 
 
 def _versions() -> dict[str, str]:
@@ -91,10 +94,18 @@ def _restore_digest(dataset: str, backend: str, tmp_path: Path) -> str:
     return _sha256(Path(f"{prefix}.edges").read_bytes())
 
 
-def _digest(case: str, tmp_path: Path) -> str:
+def _convergence_digest(dataset: str, capsys) -> str:
+    capsys.readouterr()
+    assert main(["convergence", "--dataset", dataset, "--runs", "2"]) == 0
+    return _sha256(capsys.readouterr().out.encode("utf-8"))
+
+
+def _digest(case: str, tmp_path: Path, capsys) -> str:
     kind, *rest = case.split("/")
     if kind == "sweep":
         return _sweep_digest(*rest)
+    if kind == "convergence":
+        return _convergence_digest(*rest, capsys)
     return _restore_digest(*rest, tmp_path)
 
 
@@ -115,7 +126,7 @@ def test_golden_digest(case, tmp_path, capsys, monkeypatch, request):
                     f"golden digests were made with {lib} {recorded}; "
                     f"this is {lib} {current[lib]}"
                 )
-    digest = _digest(case, tmp_path)
+    digest = _digest(case, tmp_path, capsys)
     capsys.readouterr()  # the restore command prints a profile comparison
     if regen:
         golden["versions"] = _versions()
