@@ -3,10 +3,10 @@
 Not a paper table — these guard the implementation's performance envelope:
 rewiring throughput (the bottleneck the paper optimizes), estimator cost,
 stub-matching construction, and the evaluation suite itself.  The
-threshold-calibration test at the bottom measures, for the two kernels
+threshold-calibration test at the bottom measures, for the one kernel
 whose ``auto`` dispatch still compares a size, where the CSR path breaks
-even with the pure Python one: the edge count for batched walks and the
-attempt budget for the rewiring core — the data behind those entries of
+even with the pure Python one: the attempt budget of the rewiring core,
+the data behind the ``rewiring`` entry of
 :data:`repro.engine.dispatch.AUTO_KERNEL_THRESHOLDS`.  Every property
 kernel runs on CSR under ``auto`` at any size; ``bench_auto_dispatch.py``
 guards that rule on a whole sweep.
@@ -28,7 +28,6 @@ from repro.metrics.clustering import degree_dependent_clustering
 from repro.metrics.suite import compute_properties
 from repro.restore.restorer import restore_from_walk
 from repro.sampling.access import GraphAccess
-from repro.sampling.csr_access import independent_batched_walks
 from repro.sampling.walkers import random_walk
 
 
@@ -85,11 +84,8 @@ def test_bench_property_suite(benchmark):
 
 
 # ----------------------------------------------------------------------
-# AUTO threshold calibration: the kernels that still compare a size
+# AUTO threshold calibration: the kernel that still compares a size
 # ----------------------------------------------------------------------
-CALIBRATION_SIZES = (500, 1_000, 2_000, 5_000, 10_000, 20_000, 50_000)
-
-
 #: Rewiring is calibrated on its attempt budget ``rc x |edges|``, over
 #: several coefficients: the CSR core pays construction once and a window
 #: re-derivation per accepted swap, so its break-even budget moves with
@@ -97,7 +93,7 @@ CALIBRATION_SIZES = (500, 1_000, 2_000, 5_000, 10_000, 20_000, 50_000)
 #: the same budget.  The paper's rc = 500 is too slow for a calibration
 #: run; budgets stop at the cap below.
 REWIRING_RCS = (1, 5, 10, 50)
-REWIRING_SIZES = (100, 200, 300) + CALIBRATION_SIZES
+REWIRING_SIZES = (100, 200, 300, 500, 1_000, 2_000, 5_000, 10_000, 20_000, 50_000)
 REWIRING_MAX_ATTEMPTS = 250_000
 
 
@@ -154,40 +150,14 @@ def _rewiring_calibration() -> list[dict]:
 
 
 def test_bench_auto_threshold_calibration(results_dir):
-    """Measure the break-even of the kernels ``auto`` still thresholds.
+    """Measure the break-even of the one kernel ``auto`` still thresholds.
 
-    Walks are timed end to end with size-proportional work (crawl 10% of
-    nodes, eight independent walks per snapshot, as a convergence cell
-    runs them); rewiring end to end per coefficient
+    Rewiring is timed end to end per coefficient
     (:func:`_rewiring_calibration`), construction included, and its
     break-even is an attempt budget.  The committed JSON is the
-    provenance of the ``walks`` and ``rewiring`` entries of
-    ``AUTO_KERNEL_THRESHOLDS`` in ``repro/engine/dispatch.py``.
+    provenance of the ``rewiring`` entry of ``AUTO_KERNEL_THRESHOLDS`` in
+    ``repro/engine/dispatch.py``.
     """
-    walks = []
-    for edges in CALIBRATION_SIZES:
-        graph = _calibration_graph(edges)
-        walk_target = max(3, graph.num_nodes // 10)
-        num_walks = 8
-
-        def walks_py():
-            for i in range(num_walks):
-                random_walk(GraphAccess(graph), walk_target, rng=i)
-
-        walks.append({
-            "edges": graph.num_edges,
-            "python_seconds": _best_of(walks_py),
-            "csr_seconds": _best_of(
-                lambda: independent_batched_walks(
-                    graph.copy(), num_walks, walk_target, rng=1
-                )
-            ),
-        })
-    walks_break_even = next(
-        (row["edges"] for row in walks
-         if row["csr_seconds"] <= row["python_seconds"]),
-        None,
-    )
     rewiring = _rewiring_calibration()
     rewiring_break_even = {
         str(rc): next(
@@ -198,11 +168,6 @@ def test_bench_auto_threshold_calibration(results_dir):
         for rc in REWIRING_RCS
     }
     payload = {
-        "walks": {
-            "sizes": list(CALIBRATION_SIZES),
-            "measured": walks,
-            "break_even_edges": walks_break_even,
-        },
         "rewiring": {
             "rcs": list(REWIRING_RCS),
             "sizes": list(REWIRING_SIZES),
@@ -214,10 +179,6 @@ def test_bench_auto_threshold_calibration(results_dir):
     write_json("bench_core_ops_thresholds.json", payload)
 
     lines = [
-        "# batched walks break-even (8 walkers, 10% of nodes each)",
-        "walks break-even edges\t"
-        + (str(walks_break_even) if walks_break_even is not None else "> max size"),
-        "",
         "# rewiring break-even per coefficient (construction included)",
         "rc\tbreak-even attempts",
     ]
@@ -226,10 +187,7 @@ def test_bench_auto_threshold_calibration(results_dir):
     write_result("bench_core_ops_thresholds.txt", "\n".join(lines))
 
     # the csr rewiring core must win at every coefficient's largest budget,
-    # the regime the engine exists for.  Few-walker batched walks
-    # legitimately never break even in this range (per-round stepping
-    # overhead swamps an 8-walker batch), which is why their dispatch
-    # threshold sits beyond it.
+    # the regime the engine exists for
     for rc in REWIRING_RCS:
         last = [row for row in rewiring if row["rc"] == rc][-1]
         assert last["csr_seconds"] <= last["python_seconds"] * 1.1, ("rewiring", last)

@@ -131,24 +131,3 @@ def test_bench_engine_speedup(results_dir):
 
     assert jdm_speedup >= TARGET_SPEEDUP, payload
     assert clustering_speedup >= TARGET_SPEEDUP, payload
-
-
-def test_bench_engine_batched_walks(results_dir):
-    graph = _graph()
-    csr = freeze(graph)
-    walks = 64
-    length = 500
-
-    def run_batched():
-        kernels.batched_random_walks(csr, walks, length, rng=7)
-
-    batched_seconds = _best(run_batched)
-    steps = walks * length
-    payload = {
-        "walks": walks,
-        "length": length,
-        "batched_seconds": batched_seconds,
-        "steps_per_second": steps / batched_seconds,
-    }
-    write_json("bench_engine_walks.json", payload)
-    assert payload["steps_per_second"] > 0

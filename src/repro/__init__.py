@@ -106,10 +106,8 @@ from repro.engine import (
     CSRGraph,
     freeze,
     thaw,
-    batched_random_walks,
     resolve_backend,
 )
-from repro.sampling.csr_access import CSRGraphAccess
 
 __version__ = "1.0.0"
 
@@ -179,7 +177,5 @@ __all__ = [
     "CSRGraph",
     "freeze",
     "thaw",
-    "batched_random_walks",
     "resolve_backend",
-    "CSRGraphAccess",
 ]

@@ -100,14 +100,6 @@ class RunContext:
         snapshots, and truth PropertySets through the same per-process
         name-keyed caches local pool workers use, so results stay
         bit-identical.  ``None`` (the default) means local execution.
-    shared_memory:
-        When true (the default) and ``jobs > 1``, the scheduler publishes
-        each distinct dataset's frozen CSR snapshot into shared memory
-        and ships the parent-computed truth PropertySets, so workers
-        attach zero-copy instead of rebuilding dataset + freeze + exact
-        evaluation per process (:mod:`repro.api.workers`).  Results are
-        bit-identical either way; set false to force the legacy
-        rebuild-per-worker path (or when ``/dev/shm`` is constrained).
     fault_policy:
         Imperfect-crawler regime every cell crawls under
         (:mod:`repro.sampling.faults`).  ``None`` — the default — is
@@ -124,7 +116,6 @@ class RunContext:
     seed: int = 1
     exact_paths: bool = False
     jobs: int = 1
-    shared_memory: bool = True
     fault_policy: FaultPolicy | None = None
     workers: tuple[str, ...] | None = None
 

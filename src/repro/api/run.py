@@ -92,17 +92,17 @@ def map_cells(
     here, so items carry no context and no worker can open a nested pool
     or coordinator.
 
-    With ``context.shared_memory`` (the default) a pooled run first
-    publishes each distinct dataset's frozen snapshot into shared memory
-    and computes each distinct evaluation's truth once, parent-side
-    (:func:`repro.api.workers.publish_cells`); the pool initializer
-    attaches workers zero-copy.  Publication happens here, before the
-    first result is asked for, and lives until the result iterator is
-    exhausted (or abandoned); it falls away silently when shared memory
-    is unavailable.  Shared memory is per-host, so a distributed run
-    (``context.workers``) never publishes: remote agents rebuild through
-    their own per-process name-keyed caches, which is bit-identical by
-    contract.
+    A pooled run first publishes each distinct dataset's frozen snapshot
+    into shared memory and computes each distinct evaluation's truth
+    once, parent-side (:func:`repro.api.workers.publish_cells`); the pool
+    initializer attaches workers zero-copy.  Publication happens here,
+    before the first result is asked for, and lives until the result
+    iterator is exhausted (or abandoned); when shared memory is
+    unavailable it falls away silently and each worker rebuilds its
+    datasets, bit-identically.  Shared memory is per-host, so a
+    distributed run (``context.workers``) never publishes: remote agents
+    rebuild through their own per-process name-keyed caches, which is
+    bit-identical by contract.
     """
     from repro.api.context import spawn_seeds
 
@@ -117,7 +117,7 @@ def map_cells(
     ]
     pooled = context.parallelism > 1
     publication = None
-    if pooled and context.workers is None and context.shared_memory:
+    if pooled and context.workers is None:
         from repro.api.workers import pool_worker_init, publish_cells
 
         publication = publish_cells(configured)

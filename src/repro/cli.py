@@ -89,16 +89,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(
         p: argparse.ArgumentParser,
+        runs: bool = True,
+        rc: bool = True,
         execution: bool = True,
-        jobs: bool = True,
-        exact: bool = True,
+        harness: bool = True,
     ) -> None:
-        """RunContext flags; ``jobs``/``exact`` are offered only on
-        commands whose execution path honors them (ablate runs its
-        variants serially on a shared walk; convergence evaluates no
-        properties)."""
-        p.add_argument("--runs", type=int, default=3, help="runs per cell (paper: 10)")
-        p.add_argument("--rc", type=float, default=50.0, help="rewiring coefficient (paper: 500)")
+        """Shared flags, each offered only on commands that read it, so
+        an ignored flag is an argparse error rather than a silent no-op:
+        ``execution`` adds the evaluation backend and ``--exact-paths``
+        (fig4 and convergence evaluate no properties); ``harness`` adds
+        the flags only cells run through the experiment harness honor,
+        ``--jobs``, ``--workers`` and the crawl fault regime (ablate runs
+        its variants serially on one ideal walk)."""
+        if runs:
+            p.add_argument("--runs", type=int, default=3, help="runs per cell (paper: 10)")
+        if rc:
+            p.add_argument(
+                "--rc", type=float, default=50.0, help="rewiring coefficient (paper: 500)"
+            )
         p.add_argument("--scale", type=float, default=1.0, help="dataset stand-in scale")
         p.add_argument("--seed", type=int, default=1, help="base seed (cell/run seeds are spawned from it)")
         if execution:
@@ -110,20 +118,19 @@ def _build_parser() -> argparse.ArgumentParser:
                 "(auto evaluates on the CSR engine and picks the rewiring "
                 "core by attempt budget)",
             )
-        if execution and jobs:
+            p.add_argument(
+                "--exact-paths",
+                action="store_true",
+                help="exact all-pairs shortest paths (streaming histogram) "
+                "instead of the sampled protocol",
+            )
+        if execution and harness:
             p.add_argument(
                 "--jobs",
                 type=int,
                 default=1,
                 help="worker processes for cell execution (results are "
                 "bit-identical to --jobs 1 on a fixed seed)",
-            )
-            p.add_argument(
-                "--no-shared-memory",
-                action="store_true",
-                help="disable shared-memory dataset snapshots under --jobs "
-                ">= 2 (workers rebuild datasets per process; results are "
-                "bit-identical either way)",
             )
             p.add_argument(
                 "--workers",
@@ -134,14 +141,6 @@ def _build_parser() -> argparse.ArgumentParser:
                 "(repeat an address for several agents on it); results "
                 "are bit-identical to --jobs 1 on a fixed seed",
             )
-        if execution and exact:
-            p.add_argument(
-                "--exact-paths",
-                action="store_true",
-                help="exact all-pairs shortest paths (streaming histogram) "
-                "instead of the sampled protocol",
-            )
-        if execution:
             _fault_flags(p)
 
     p_fig3 = sub.add_parser("fig3", help="Figure 3: average L1 vs %% queried")
@@ -190,12 +189,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p_fig4 = sub.add_parser("fig4", help="Figure 4: SVG graph portraits")
-    common(p_fig4, execution=False)  # renders portraits; no property evaluation
+    common(p_fig4, runs=False, execution=False)  # one portrait per method
     p_fig4.add_argument("--out", default="figures", help="output directory")
     p_fig4.add_argument("--dataset", default="anybeat")
 
     p_abl = sub.add_parser("ablate", help="design-choice ablations")
-    common(p_abl, jobs=False)  # variants share one walk; inherently serial
+    common(p_abl, runs=False, harness=False)  # variants share one walk
     p_abl.add_argument(
         "--which",
         choices=("rewiring", "rc", "subgraph", "all"),
@@ -208,7 +207,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_conv = sub.add_parser(
         "convergence", help="estimator error vs crawl budget (extension study)"
     )
-    common(p_conv, jobs=False, exact=False)  # estimators only, no property suite
+    common(p_conv, rc=False, execution=False)  # estimators only: no restore or suite
     p_conv.add_argument("--dataset", default="anybeat")
     p_conv.add_argument(
         "--fractions", default="0.02,0.05,0.10,0.20,0.40", help="comma-separated"
@@ -383,7 +382,6 @@ def _context(args) -> RunContext:
         seed=getattr(args, "seed", 1),
         exact_paths=getattr(args, "exact_paths", False),
         jobs=getattr(args, "jobs", 1),
-        shared_memory=not getattr(args, "no_shared_memory", False),
         fault_policy=_fault_policy(args),
         workers=workers,
     )
@@ -511,15 +509,13 @@ def _cmd_convergence(args) -> str:
         format_convergence,
     )
 
-    context = _context(args)
     fractions = tuple(float(f) for f in args.fractions.split(","))
     points = estimator_convergence(
         dataset=args.dataset,
         fractions=fractions,
         runs=args.runs,
         scale=args.scale,
-        seed=context.seed,
-        backend=context.backend,
+        seed=args.seed,
     )
     return format_convergence(points, title=f"estimator convergence ({args.dataset})")
 

@@ -7,24 +7,22 @@ implementation:
   (:func:`freeze` / :func:`thaw`) of :class:`~repro.graph.multigraph.MultiGraph`.
 * :mod:`repro.engine.kernels` — numpy/scipy kernels: degree vector, joint
   degree matrix, triangle counts and clustering coefficients, neighbor
-  connectivity, edgewise shared partners, and batched multi-seed random
-  walks.
+  connectivity, and edgewise shared partners.
 * :mod:`repro.engine.bfs_kernels` — frontier-based BFS kernels: batched
   level-synchronous shortest-path sweeps and Brandes betweenness
   accumulation, replaying the reference floats bit for bit.
 * :mod:`repro.engine.dispatch` — ``backend="auto" | "python" | "csr"``
-  routing used by :mod:`repro.metrics`, the estimators, and the experiment
-  harness; ``auto`` runs every property kernel on the CSR kernels, and
-  only rewiring, walks and the walk-pair count keep a size threshold.
+  routing used by :mod:`repro.metrics`, the rewiring engine, and the
+  experiment harness; ``auto`` runs every property kernel on the CSR
+  kernels, and only rewiring keeps a size threshold.
 * :mod:`repro.engine.store` — the snapshot store: a canonical flat-buffer
   byte layout for frozen snapshots, saved/loaded on disk (RAM or
   ``mmap``-backed out-of-core), streamed out-of-core by ``freeze_stream``,
   or published into shared memory (:class:`SharedSnapshot` / ``attach``)
   so worker processes map one copy instead of rebuilding.
 
-Query-accounted random walks over a snapshot live in
-:class:`repro.sampling.csr_access.CSRGraphAccess`, keeping the paper's
-access model in the sampling package where the other crawlers are.
+Walks are not an engine kernel: every crawler, over a ``MultiGraph`` or a
+snapshot alike, queries through :class:`repro.sampling.access.GraphAccess`.
 """
 
 from repro.engine.bfs_kernels import (
@@ -40,7 +38,7 @@ from repro.engine.dispatch import (
     ensure_multigraph,
     resolve_backend,
 )
-from repro.engine.kernels import batched_random_walks, ensure_generator
+from repro.engine.kernels import ensure_generator
 from repro.engine.store import (
     SharedSnapshot,
     attach,
@@ -60,7 +58,6 @@ __all__ = [
     "ensure_csr",
     "ensure_multigraph",
     "resolve_backend",
-    "batched_random_walks",
     "ensure_generator",
     "bfs_distance_block",
     "brandes_scores",

@@ -8,8 +8,8 @@ Every function here accepts either a mutable :class:`MultiGraph` or a frozen
   behavior.
 * ``"csr"`` — the vectorized kernels in :mod:`repro.engine.kernels` on a
   frozen snapshot (frozen on demand, with caching — see below).
-* ``"auto"`` — ``csr``.  Only the kernels named in
-  :data:`AUTO_KERNEL_THRESHOLDS` compare a workload size against a
+* ``"auto"`` — ``csr``.  Only the kernel named in
+  :data:`AUTO_KERNEL_THRESHOLDS` compares a workload size against a
   threshold first; every property kernel resolves to ``csr`` at any size,
   because whole experiment cells run faster that way with byte-identical
   results.  The ``REPRO_BACKEND`` environment variable, when set to
@@ -41,27 +41,14 @@ DegreePair = tuple[int, int]
 BACKENDS: tuple[str, ...] = ("auto", "python", "csr")
 
 #: The kernels that ``auto`` still sends to ``python`` below a size
-#: threshold; any kernel not named here resolves to ``csr``.  Each entry
-#: has its own reason:
-#:
-#: * ``rewiring`` is keyed on the run's attempt budget (``rc x
-#:   |candidates|``, capped by ``max_attempts``), not on the graph: the
-#:   CSR core must pay back its construction and the window it re-derives
-#:   after every accepted swap.  The calibration in
-#:   ``benchmarks/bench_core_ops.py`` has put the break-even anywhere
-#:   from ~10k to ~100k attempts: it moves with the share of attempts a
-#:   climb accepts, and between reruns.
-#: * ``walks`` is keyed on edge count.  Its CSR path draws the walks from
-#:   a numpy generator instead of ``random.Random``, so switching it would
-#:   change what ``repro convergence`` prints.
-#: * ``walk_pairs`` is the traversed-edge pair count, keyed on walk
-#:   length.  Its CSR count equals the python count only to float
-#:   round-off.
-AUTO_KERNEL_THRESHOLDS: dict[str, int] = {
-    "rewiring": 20_000,
-    "walks": 100_000,
-    "walk_pairs": 20_000,
-}
+#: threshold; any kernel not named here resolves to ``csr``.  The one
+#: entry, ``rewiring``, is keyed on the run's attempt budget (``rc x
+#: |candidates|``, capped by ``max_attempts``), not on the graph: the CSR
+#: core must pay back its construction and the window it re-derives after
+#: every accepted swap.  The calibration in ``benchmarks/bench_core_ops.py``
+#: has put the break-even anywhere from ~10k to ~100k attempts: it moves
+#: with the share of attempts a climb accepts, and between reruns.
+AUTO_KERNEL_THRESHOLDS: dict[str, int] = {"rewiring": 20_000}
 
 _ENV_VAR = "REPRO_BACKEND"
 

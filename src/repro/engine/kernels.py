@@ -14,13 +14,7 @@ kernel                         pure-Python reference
 ``triangles_per_node``         :func:`repro.metrics.clustering.triangles_per_node`
 ``network_clustering``         :func:`repro.metrics.clustering.network_clustering`
 ``degree_dependent_clustering``:func:`repro.metrics.clustering.degree_dependent_clustering`
-``batched_random_walks``       repeated :func:`repro.sampling.walkers.random_walk` steps
 =============================  =============================================
-
-The walk kernel advances every walker one step per vectorized operation;
-query-accounted walks (the paper's access model) route through
-:class:`repro.sampling.csr_access.CSRGraphAccess`, which drives the same
-per-step advance while recording distinct queried nodes.
 """
 
 from __future__ import annotations
@@ -31,7 +25,6 @@ import numpy as np
 from scipy import sparse
 
 from repro.engine.csr import CSRGraph
-from repro.errors import GraphError
 from repro.graph.multigraph import Node
 from repro.utils.rng import ensure_rng
 
@@ -331,87 +324,3 @@ def shared_partner_distribution(csr: CSRGraph) -> dict[int, float]:
     )
     effective = rows.size
     return {int(s): float(c / effective) for s, c in zip(values, value_counts, strict=True)}
-
-
-# ----------------------------------------------------------------------
-# walk kernels
-# ----------------------------------------------------------------------
-def step_walkers(
-    csr: CSRGraph, current: np.ndarray, gen: np.random.Generator
-) -> np.ndarray:
-    """Advance every walker one uniform-incident-edge step.
-
-    ``current`` holds positional node indices; the return value is the array
-    of next positions.  Raises :class:`GraphError` when any walker sits on a
-    node with no incident edges (the walk is stuck, matching the pure-Python
-    walker's error).
-    """
-    deg = csr.degree_array()
-    d = deg[current]
-    if np.any(d == 0):
-        stuck = csr.node_list[int(current[np.argmax(d == 0)])]
-        raise GraphError(f"walk stuck: node {stuck!r} has no edges")
-    slots = csr.indptr[current] + gen.integers(0, d)
-    return csr.indices[slots]
-
-
-def batched_random_walks(
-    csr: CSRGraph,
-    num_walks: int,
-    length: int,
-    seeds: np.ndarray | list[int] | None = None,
-    rng: np.random.Generator | random.Random | int | None = None,
-) -> np.ndarray:
-    """Simulate ``num_walks`` simple random walks of ``length`` steps each.
-
-    Returns ``int64[num_walks, length + 1]`` positional node indices, column
-    0 holding the seeds (drawn uniformly when not given).  All walkers
-    advance in lockstep, one vectorized draw per step — the workhorse for
-    multi-seed simulation workloads (mixing diagnostics, parallel
-    restoration sweeps) where per-query accounting is not needed.  For
-    accounted walks use :class:`repro.sampling.csr_access.CSRGraphAccess`.
-    """
-    if csr.num_nodes == 0:
-        raise GraphError("cannot walk on an empty graph")
-    if num_walks < 1 or length < 0:
-        raise GraphError("need num_walks >= 1 and length >= 0")
-    gen = ensure_generator(rng)
-    if seeds is None:
-        start = gen.integers(0, csr.num_nodes, size=num_walks)
-    else:
-        start = np.asarray(seeds, dtype=np.int64)
-        if start.shape != (num_walks,):
-            raise GraphError(f"seeds must have shape ({num_walks},)")
-        if np.any((start < 0) | (start >= csr.num_nodes)):
-            raise GraphError("seed index out of range")
-    out = np.empty((num_walks, length + 1), dtype=np.int64)
-    out[:, 0] = start
-    for t in range(length):
-        out[:, t + 1] = step_walkers(csr, out[:, t], gen)
-    return out
-
-
-# ----------------------------------------------------------------------
-# walk-sequence kernels (estimator side)
-# ----------------------------------------------------------------------
-def traversed_pair_counts(degree_sequence: np.ndarray) -> dict[DegreePair, int]:
-    """Count consecutive degree pairs of a walk, keyed by ordered pair.
-
-    Vectorized core of the traversed-edges estimator: for a walk degree
-    sequence ``d_1 .. d_r``, returns how many steps ``i`` have
-    ``(d_i, d_{i+1})`` equal to each ordered pair, with both orders of an
-    asymmetric pair accumulated into both ordered cells (mirroring the
-    reference estimator's symmetric update).
-    """
-    d = np.asarray(degree_sequence, dtype=np.int64)
-    if d.size < 2:
-        return {}
-    a, b = d[:-1], d[1:]
-    stride = int(d.max()) + 1
-    keys = np.concatenate([a * stride + b, b * stride + a])
-    uniq, counts = np.unique(keys, return_counts=True)
-    out: dict[DegreePair, int] = {}
-    for key, c in zip(uniq.tolist(), counts.tolist(), strict=True):
-        k, kp = divmod(key, stride)
-        out[(k, kp)] = c
-    return out

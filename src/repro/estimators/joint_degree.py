@@ -26,36 +26,16 @@ from repro.sampling.walkers import SamplingList
 DegreePair = tuple[int, int]
 
 
-def traversed_edges_estimate(
-    walk: SamplingList | WalkIndex,
-    backend: str = "python",
-) -> dict[DegreePair, float]:
+def traversed_edges_estimate(walk: SamplingList | WalkIndex) -> dict[DegreePair, float]:
     """``P^_TE(k, k')`` as a sparse symmetric mapping.
 
     ``P^_TE(k,k') = (1/(2(r-1))) sum_i [1{d_i=k, d_i+1=k'} + 1{d_i=k', d_i+1=k}]``.
-
-    ``backend`` selects the pair-counting path: ``"python"`` is the
-    reference per-step loop; ``"csr"`` (or ``"auto"`` once the walk
-    reaches the ``walk_pairs`` threshold in
-    :data:`~repro.engine.dispatch.AUTO_KERNEL_THRESHOLDS`) vectorizes the
-    count with the engine's walk-sequence kernel — same cells, values
-    equal to float round-off (counts are accumulated multiplicatively
-    instead of additively).
     """
     index = walk if isinstance(walk, WalkIndex) else WalkIndex(walk)
     degrees = index.degrees
     r = index.r
     est: dict[DegreePair, float] = {}
     unit = 1.0 / (2.0 * (r - 1))
-    if backend != "python":
-        from repro.engine.dispatch import resolve_backend
-        from repro.engine.kernels import traversed_pair_counts
-
-        if resolve_backend(backend, size=r, kernel="walk_pairs") == "csr":
-            return {
-                pair: c * unit
-                for pair, c in traversed_pair_counts(degrees).items()
-            }
     for i in range(r - 1):
         k, kp = degrees[i], degrees[i + 1]
         est[(k, kp)] = est.get((k, kp), 0.0) + unit
@@ -106,19 +86,17 @@ def estimate_joint_degree_distribution(
     walk: SamplingList | WalkIndex,
     n_hat: float | None = None,
     k_hat: float | None = None,
-    backend: str = "python",
 ) -> dict[DegreePair, float]:
     """Hybrid ``P^(k, k')``: IE for ``k + k' >= 2 k̄^``, TE otherwise.
 
     Returns a sparse symmetric mapping over the degree pairs observed by
     either sub-estimator (cells selected by the hybrid rule but absent from
     the chosen sub-estimator are simply missing, i.e. estimated as 0).
-    ``backend`` is forwarded to the traversed-edges pair counting.
     """
     index = walk if isinstance(walk, WalkIndex) else WalkIndex(walk)
     if k_hat is None:
         k_hat = estimate_average_degree(index)
-    te = traversed_edges_estimate(index, backend=backend)
+    te = traversed_edges_estimate(index)
     ie = induced_edges_estimate(index, n_hat=n_hat, k_hat=k_hat)
     threshold = 2.0 * k_hat
     hybrid: dict[DegreePair, float] = {}

@@ -77,14 +77,8 @@ class LocalEstimates:
         return max(positive, default=0)
 
 
-def estimate_local_properties(
-    walk: SamplingList | WalkIndex, backend: str = "python"
-) -> LocalEstimates:
-    """Run all five estimators of Section III-E over one walk.
-
-    ``backend`` is forwarded to the traversed-edges pair counting of the
-    joint-degree estimator (the one estimator with an engine kernel).
-    """
+def estimate_local_properties(walk: SamplingList | WalkIndex) -> LocalEstimates:
+    """Run all five estimators of Section III-E over one walk."""
     index = walk if isinstance(walk, WalkIndex) else WalkIndex(walk)
     n_hat = estimate_num_nodes(index)
     k_hat = estimate_average_degree(index)
@@ -93,7 +87,7 @@ def estimate_local_properties(
         average_degree=k_hat,
         degree_distribution=estimate_degree_distribution(index),
         joint_degree_distribution=estimate_joint_degree_distribution(
-            index, n_hat=n_hat, k_hat=k_hat, backend=backend
+            index, n_hat=n_hat, k_hat=k_hat
         ),
         degree_clustering=estimate_degree_clustering(index),
         walk_length=index.r,

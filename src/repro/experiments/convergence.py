@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.engine.dispatch import resolve_backend
 from repro.estimators.local import (
     estimate_local_properties,
     exact_local_properties,
@@ -21,7 +20,6 @@ from repro.graph.datasets import load_dataset
 from repro.graph.multigraph import MultiGraph
 from repro.metrics.distance import normalized_l1, relative_error
 from repro.sampling.access import GraphAccess
-from repro.sampling.csr_access import independent_batched_walks
 from repro.sampling.walkers import random_walk
 from repro.utils.rng import ensure_rng
 from repro.utils.stats import mean
@@ -45,37 +43,25 @@ def estimator_convergence(
     scale: float = 1.0,
     seed: int = 1,
     original: MultiGraph | None = None,
-    backend: str = "python",
 ) -> list[ConvergencePoint]:
     """Sweep crawl fractions; return mean errors per estimator.
 
-    ``original`` overrides the dataset lookup (tests inject small graphs);
-    ``backend`` is forwarded to the walk estimators and selects how a
-    cell's independent rounds are crawled: on the CSR backend the hidden
-    graph is frozen once and all ``runs`` rounds walk the snapshot in
-    lockstep (per-walker query accounting, one vectorized step draw per
-    round) instead of re-crawling the dict-of-dicts per round.
+    Each of a fraction's ``runs`` rounds is one :func:`random_walk` over a
+    fresh :class:`GraphAccess`, all drawing from one generator seeded by
+    ``seed``.  ``original`` overrides the dataset lookup (tests inject
+    small graphs).
     """
     graph = original if original is not None else load_dataset(dataset, scale=scale)
     exact = exact_local_properties(graph)
     rng = ensure_rng(seed)
-    crawl_backend = resolve_backend(
-        backend, size=graph.num_edges, kernel="walks"
-    )
     points: list[ConvergencePoint] = []
     for fraction in fractions:
         target = max(3, int(round(fraction * graph.num_nodes)))
         run_errors: dict[str, list[float]] = {c: [] for c in ESTIMATOR_COLUMNS}
         lengths: list[float] = []
-        if crawl_backend == "csr":
-            walks = independent_batched_walks(graph, runs, target, rng=rng)
-        else:
-            walks = [
-                random_walk(GraphAccess(graph), target, rng=rng)
-                for _ in range(runs)
-            ]
-        for walk in walks:
-            est = estimate_local_properties(walk, backend=backend)
+        for _ in range(runs):
+            walk = random_walk(GraphAccess(graph), target, rng=rng)
+            est = estimate_local_properties(walk)
             lengths.append(walk.length)
             run_errors["n"].append(relative_error(exact.num_nodes, est.num_nodes))
             run_errors["kbar"].append(

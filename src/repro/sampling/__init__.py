@@ -8,11 +8,9 @@ subgraph sampling only).
 """
 
 from repro.sampling.access import GraphAccess
-from repro.sampling.csr_access import CSRGraphAccess
 from repro.sampling.faults import (
     FaultPolicy,
     FaultyAccess,
-    FaultyCSRGraphAccess,
     make_faulty_access,
     policy_from_knobs,
     spawn_fault_seed,
@@ -36,10 +34,8 @@ from repro.sampling.subgraph import SampledSubgraph, build_subgraph
 __all__ = [
     "frontier_sampling",
     "GraphAccess",
-    "CSRGraphAccess",
     "FaultPolicy",
     "FaultyAccess",
-    "FaultyCSRGraphAccess",
     "make_faulty_access",
     "policy_from_knobs",
     "spawn_fault_seed",

@@ -29,7 +29,10 @@ class GraphAccess:
     ----------
     graph:
         The hidden graph.  Held privately; callers interact only through
-        :meth:`query`, :meth:`degree`, and :meth:`random_seed`.
+        :meth:`query`, :meth:`degree`, and :meth:`random_seed`.  A frozen
+        :class:`~repro.engine.csr.CSRGraph` (a shared-memory snapshot
+        included) serves the same queries in the same node order, so a
+        crawl over it equals the crawl over its :class:`MultiGraph`.
     budget:
         Optional hard cap on the number of *distinct* queried nodes.  A
         crawler that exceeds it gets a :class:`SamplingError`, which is how

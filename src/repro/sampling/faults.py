@@ -13,10 +13,10 @@ first-class, *deterministic* sweep axis:
   truncation cap, node-churn probability),
 * :class:`FaultyAccess` — a :class:`~repro.sampling.access.GraphAccess`
   that injects the policy's faults into every query while keeping the
-  full access-model surface, and
-* :class:`FaultyCSRGraphAccess` — the same wrapper over
-  :class:`~repro.sampling.csr_access.CSRGraphAccess`, so ``backend="csr"``
-  crawls and shared-memory snapshots run under faults unchanged.
+  full access-model surface.  Like the ideal access it wraps a
+  :class:`~repro.graph.multigraph.MultiGraph` or a frozen
+  :class:`~repro.engine.csr.CSRGraph` (a shared-memory snapshot
+  included), so pooled workers crawl under faults unchanged.
 
 Determinism contract
 --------------------
@@ -61,7 +61,6 @@ from repro.errors import (
 )
 from repro.graph.multigraph import MultiGraph, Node
 from repro.sampling.access import GraphAccess
-from repro.sampling.csr_access import CSRGraphAccess
 
 _U64 = 0xFFFFFFFFFFFFFFFF
 
@@ -346,43 +345,6 @@ class FaultyAccess(GraphAccess):
         return self._budget is not None and self._calls >= self._budget
 
 
-class FaultyCSRGraphAccess(FaultyAccess, CSRGraphAccess):
-    """:class:`FaultyAccess` over a frozen CSR snapshot.
-
-    Keeps :class:`CSRGraphAccess`'s array-backed ``random_seed`` and its
-    ``batched_walks`` (whose per-round ``query`` calls go through the
-    fault-injected path — a fault inside a batch propagates to the
-    caller, since lockstep walkers share one query account).  Accepts a
-    :class:`~repro.graph.multigraph.MultiGraph` (frozen on construction)
-    or an existing :class:`~repro.engine.csr.CSRGraph` / shared-memory
-    snapshot, exactly like the ideal CSR access.
-    """
-
-    def __init__(
-        self,
-        graph,
-        policy: FaultPolicy,
-        fault_seed: int = 0,
-        budget: int | None = None,
-    ) -> None:
-        CSRGraphAccess.__init__(self, graph, budget)
-        # layer the fault state on top of the initialized CSR access;
-        # FaultyAccess.__init__ would re-run GraphAccess.__init__, so the
-        # fault fields are set directly instead
-        self._policy = policy
-        self._fault_rng = random.Random(fault_seed)
-        self._calls = 0
-        self._dead = set()
-        self._stats = {
-            "calls": 0,
-            "retries": 0,
-            "rate_limit_hits": 0,
-            "churned": 0,
-            "truncated": 0,
-            "simulated_wait_seconds": 0.0,
-        }
-
-
 def make_faulty_access(
     graph,
     policy: FaultPolicy,
@@ -391,17 +353,15 @@ def make_faulty_access(
 ) -> FaultyAccess:
     """The faulty access the experiment harness crawls through.
 
-    Always the plain :class:`FaultyAccess`, whatever ``graph`` is — a
+    A :class:`FaultyAccess`, whatever ``graph`` is — a
     :class:`~repro.graph.multigraph.MultiGraph` or a frozen
     :class:`~repro.engine.csr.CSRGraph` snapshot (including a
     shared-memory attach), both of which serve the neighbor-query
-    surface identically.  This deliberately mirrors the ideal harness,
+    surface identically.  This mirrors the ideal harness,
     which wraps whichever graph object it holds in a plain
     :class:`~repro.sampling.access.GraphAccess`: a serial cell (crawling
     the MultiGraph) and a pooled worker (crawling the shared CSR
     snapshot) must draw identical ``random_seed`` re-seeds, which the
-    class — not just the data — determines.  Callers who explicitly
-    want the CSR access surface (``batched_walks``, the array-backed
-    seed draw) construct :class:`FaultyCSRGraphAccess` directly.
+    class — not just the data — determines.
     """
     return FaultyAccess(graph, policy, fault_seed=fault_seed, budget=budget)

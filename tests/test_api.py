@@ -438,13 +438,17 @@ class TestTruthMemo:
     @pytest.mark.parametrize(
         "fractions", [(0.1,), (0.1, 0.2)], ids=["one-cell", "two-cells"]
     )
-    def test_pooled_execution_aggregates_worker_stats(self, fractions):
+    def test_pooled_execution_aggregates_worker_stats(self, fractions, monkeypatch):
         """Regression: under ``jobs > 1`` the truth memo lives in the
         worker processes, so the parent's own counters stay zero — the
         merged view must fold the per-item worker deltas back instead of
         reporting an all-zero cache for a run that clearly used it.
-        (``shared_memory=False`` pins the legacy rebuild-per-worker path
-        this regression is about; the shared path is covered below.)"""
+        (Publication is made unavailable, as when shared memory is, to
+        pin the rebuild-per-worker path this regression is about; the
+        shared path is covered below.)"""
+        import repro.api.workers as workers
+
+        monkeypatch.setattr(workers, "publish_cells", lambda cells: None)
         clear_truth_cache()
         grid = SweepGrid(
             datasets=("anybeat",),
@@ -455,7 +459,7 @@ class TestTruthMemo:
             scale=0.12,
             evaluation=FAST_EVAL,
         )
-        run_sweep(grid, context=RunContext(seed=5, jobs=2, shared_memory=False))
+        run_sweep(grid, context=RunContext(seed=5, jobs=2))
         local = truth_cache_stats(merged=False)
         assert local == {"hits": 0, "misses": 0, "evictions": 0}
         merged = truth_cache_stats()

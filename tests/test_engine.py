@@ -7,7 +7,6 @@ import pytest
 
 from repro.engine import (
     CSRGraph,
-    batched_random_walks,
     ensure_csr,
     freeze,
     resolve_backend,
@@ -23,7 +22,7 @@ from repro.errors import EngineError, GraphError, SamplingError
 from repro.graph.generators import complete_graph
 from repro.graph.multigraph import MultiGraph
 from repro.metrics import basic, clustering
-from repro.sampling.csr_access import CSRGraphAccess
+from repro.sampling.access import GraphAccess
 from repro.sampling.walkers import random_walk
 
 
@@ -107,42 +106,6 @@ def test_jdm_kernel_counts_loops_once():
     assert kernels.joint_degree_matrix(csr)[(2, 2)] == 1
 
 
-def test_batched_walks_stay_on_edges(social_graph):
-    csr = freeze(social_graph)
-    walks = batched_random_walks(csr, num_walks=6, length=40, rng=11)
-    assert walks.shape == (6, 41)
-    for row in walks:
-        for a, b in zip(row[:-1], row[1:], strict=False):
-            u = csr.node_list[a]
-            v = csr.node_list[b]
-            assert social_graph.multiplicity(u, v) > 0
-
-
-def test_batched_walks_deterministic_under_seed(social_graph):
-    csr = freeze(social_graph)
-    a = batched_random_walks(csr, 4, 25, rng=5)
-    b = batched_random_walks(csr, 4, 25, rng=5)
-    assert np.array_equal(a, b)
-
-
-def test_batched_walks_raises_on_stuck_walker():
-    g = MultiGraph()
-    g.add_node(0)
-    g.add_edge(1, 2)
-    with pytest.raises(GraphError):
-        batched_random_walks(freeze(g), 2, 3, seeds=[0, 1], rng=1)
-
-
-def test_traversed_pair_counts_matches_loop():
-    degs = [2, 3, 3, 2, 5]
-    counts = kernels.traversed_pair_counts(np.asarray(degs))
-    ref: dict[tuple[int, int], int] = {}
-    for a, b in zip(degs[:-1], degs[1:], strict=False):
-        ref[(a, b)] = ref.get((a, b), 0) + 1
-        ref[(b, a)] = ref.get((b, a), 0) + 1
-    assert counts == ref
-
-
 # ----------------------------------------------------------------------
 # dispatch
 # ----------------------------------------------------------------------
@@ -172,7 +135,7 @@ def test_resolve_backend_rejects_unknown():
 def test_resolve_backend_per_kernel_thresholds():
     from repro.engine import AUTO_KERNEL_THRESHOLDS
 
-    assert set(AUTO_KERNEL_THRESHOLDS) == {"rewiring", "walks", "walk_pairs"}
+    assert AUTO_KERNEL_THRESHOLDS == {"rewiring": 20_000}
     for kernel, threshold in AUTO_KERNEL_THRESHOLDS.items():
         assert resolve_backend("auto", size=threshold - 1, kernel=kernel) == (
             "python"
@@ -303,13 +266,18 @@ def test_freeze_cache_invalidated_by_mutation(social_graph):
 
 
 # ----------------------------------------------------------------------
-# CSR-backed access model
+# the access model over a snapshot (what pooled workers crawl)
 # ----------------------------------------------------------------------
 def test_csr_access_serves_existing_walkers(social_graph):
-    access = CSRGraphAccess(social_graph)
+    """A walk through ``GraphAccess`` over the frozen snapshot is the
+    walk over the MultiGraph: same nodes, same neighbor lists."""
+    access = GraphAccess(freeze(social_graph))
     walk = random_walk(access, target_queried=30, rng=9)
+    reference = random_walk(GraphAccess(social_graph), target_queried=30, rng=9)
     assert walk.length >= 30
     assert access.num_queried >= 30
+    assert walk.nodes == reference.nodes
+    assert walk.neighbors == reference.neighbors
     for node, nbrs in walk.neighbors.items():
         assert sorted(nbrs, key=repr) == sorted(
             social_graph.incident_edge_endpoints(node), key=repr
@@ -317,48 +285,21 @@ def test_csr_access_serves_existing_walkers(social_graph):
 
 
 def test_csr_access_enforces_budget(social_graph):
-    access = CSRGraphAccess(social_graph, budget=5)
+    access = GraphAccess(freeze(social_graph), budget=5)
     with pytest.raises(SamplingError):
         random_walk(access, target_queried=50, rng=3)
     assert access.num_queried == 5
 
 
-def test_csr_access_batched_walks_accounting(social_graph):
-    access = CSRGraphAccess(social_graph)
-    walks = access.batched_walks(num_walks=5, target_queried=60, rng=21)
-    assert len(walks) == 5
-    visited = set().union(*(w.distinct_nodes for w in walks))
-    assert visited == access.queried_nodes
-    assert access.num_queried >= 60
-    # lockstep: all walkers recorded the same number of rounds
-    lengths = {w.length for w in walks}
-    assert len(lengths) == 1
-    for w in walks:
-        for node in w.nodes:
-            assert social_graph.has_node(node)
-
-
-def test_csr_access_batched_walks_respects_budget(social_graph):
-    access = CSRGraphAccess(social_graph, budget=10)
-    with pytest.raises(SamplingError):
-        access.batched_walks(num_walks=4, target_queried=40, rng=2)
-    assert access.num_queried == 10
-
-
-def test_csr_access_batched_walks_seed_validation(triangle):
-    access = CSRGraphAccess(triangle)
-    with pytest.raises(SamplingError):
-        access.batched_walks(2, 2, seeds=[0], rng=1)
-    with pytest.raises(SamplingError):
-        access.batched_walks(1, 2, seeds=["missing"], rng=1)
-
-
 def test_csr_access_accepts_prefrozen(social_graph):
+    """Seed draws over a snapshot match the MultiGraph's: both list the
+    nodes in insertion order, so the harness may crawl either."""
     csr = freeze(social_graph)
-    access = CSRGraphAccess(csr)
-    assert access.csr is csr
+    access = GraphAccess(csr)
     seed = access.random_seed(7)
     assert social_graph.has_node(seed)
+    assert seed == GraphAccess(social_graph).random_seed(7)
+    assert access.hidden_graph_num_nodes == social_graph.num_nodes
 
 
 # ----------------------------------------------------------------------

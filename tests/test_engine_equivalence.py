@@ -20,18 +20,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.engine import freeze, thaw
 from repro.engine import kernels
-from repro.errors import SamplingError
-from repro.estimators.joint_degree import traversed_edges_estimate
 from repro.graph.generators import powerlaw_cluster_graph
 from repro.graph.multigraph import MultiGraph
 from repro.metrics import basic, clustering
-from repro.sampling.access import GraphAccess
-from repro.sampling.walkers import random_walk
 
 # random multigraphs over a small id space: loops and parallels both likely
 edge_lists = st.lists(
@@ -156,23 +152,6 @@ def test_clustering_kernels_match(edges):
         clustering.degree_dependent_clustering(g),
         kernels.degree_dependent_clustering(csr),
     )
-
-
-@given(edge_lists)
-@settings(max_examples=25)
-def test_traversed_edges_backends_match(edges):
-    g = build(edges)
-    try:
-        walk = random_walk(GraphAccess(g), min(3, g.num_nodes), rng=1, max_steps=500)
-    except SamplingError:
-        return  # disconnected / stuck walks are the walker's concern
-    if walk.length < 3:
-        return  # WalkIndex rejects walks this short
-    py = traversed_edges_estimate(walk, backend="python")
-    cs = traversed_edges_estimate(walk, backend="csr")
-    assert set(py) == set(cs)
-    for pair in py:
-        assert math.isclose(py[pair], cs[pair], rel_tol=1e-12)
 
 
 # ----------------------------------------------------------------------

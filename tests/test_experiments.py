@@ -295,3 +295,53 @@ class TestCli:
         assert cli.main(["fig4", "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "wrote:" in out
+
+    # the crawl fault regime: honored only by cells run through the harness
+    FAULT_FLAGS = (
+        ("--fault-rate", "0.1"),
+        ("--rate-limit", "40"),
+        ("--truncate-at", "10"),
+        ("--churn", "0.05"),
+    )
+
+    @pytest.mark.parametrize(
+        ("command", "flag", "value"),
+        [("convergence", flag, value) for flag, value in FAULT_FLAGS]
+        + [("convergence", "--rc", "5"), ("convergence", "--backend", "csr")]
+        + [("ablate", flag, value) for flag, value in FAULT_FLAGS]
+        + [("ablate", "--runs", "2"), ("fig4", "--runs", "2")]
+        + [("sweep", "--no-shared-memory", None)],
+    )
+    def test_command_rejects_flags_it_does_not_read(self, command, flag, value, capsys):
+        """A flag the command would ignore is an argparse error (exit 2),
+        not a run that prints the same bytes with or without it.  Only
+        the parser runs, so a flag that comes back fails fast."""
+        from repro.cli import _build_parser
+
+        argv = [command, flag] + ([value] if value is not None else [])
+        with pytest.raises(SystemExit) as excinfo:
+            _build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["convergence", "--dataset", "youtube", "--fractions", "0.1",
+             "--runs", "2", "--scale", "0.5", "--seed", "3"],
+            ["ablate", "--which", "rc", "--dataset", "youtube", "--rc", "5",
+             "--scale", "0.5", "--seed", "3", "--backend", "python",
+             "--exact-paths"],
+            ["fig4", "--out", "portraits", "--dataset", "youtube", "--rc", "5",
+             "--scale", "0.5", "--seed", "3"],
+            ["sweep", "--runs", "2", "--rc", "5", "--scale", "0.5", "--seed",
+             "3", "--backend", "python", "--exact-paths", "--jobs", "2",
+             "--fault-rate", "0.1", "--rate-limit", "40", "--truncate-at",
+             "10", "--churn", "0.05"],
+        ],
+        ids=["convergence", "ablate", "fig4", "sweep"],
+    )
+    def test_command_accepts_every_flag_it_reads(self, argv):
+        from repro.cli import _build_parser
+
+        _build_parser().parse_args(argv)

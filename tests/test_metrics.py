@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graph.convert import to_networkx_simple
 from repro.graph.multigraph import MultiGraph
@@ -313,3 +316,112 @@ class TestSuite:
     def test_distances_cover_property_names(self, social_graph, cycle6):
         d = l1_distances(compute_properties(social_graph), compute_properties(cycle6))
         assert set(d) == set(PROPERTY_NAMES)
+
+
+# ----------------------------------------------------------------------
+# independent oracle: all 12 properties against networkx
+# ----------------------------------------------------------------------
+# Simple graphs over a small id space, connected or not: a few isolated
+# nodes ride along, and the edges may split into several components.
+simple_graphs = st.builds(
+    lambda edges, isolated: MultiGraph.from_edges(edges, nodes=isolated),
+    st.lists(
+        st.tuples(st.integers(0, 11), st.integers(0, 11)).filter(lambda e: e[0] != e[1]),
+        min_size=1,
+        max_size=30,
+        unique_by=lambda e: (min(e), max(e)),
+    ),
+    st.lists(st.integers(12, 15), max_size=3),
+)
+
+
+def _by_degree(graph: nx.Graph, values: dict) -> dict[int, float]:
+    """Mean of a per-node value per degree class ``k >= 1``."""
+    groups: dict[int, list[float]] = {}
+    for u, k in graph.degree():
+        if k >= 1:
+            groups.setdefault(k, []).append(values[u])
+    return {k: sum(v) / len(v) for k, v in groups.items()}
+
+
+def _networkx_properties(g: nx.Graph) -> dict[str, object]:
+    """The 12 properties (plus P(k,k')) computed by networkx and numpy.
+
+    Conventions the oracle follows, as the paper's evaluation does:
+    degree-indexed properties skip degree 0 (networkx reports a 0 entry
+    for it in ``average_degree_connectivity``); the path triple and the
+    betweenness run on the largest component, the first found in node
+    order when two tie (nodes outside it have betweenness 0); and
+    betweenness counts ordered pairs, twice networkx's unnormalized
+    undirected score.
+    """
+    n, m = g.number_of_nodes(), g.number_of_edges()
+    hist = nx.degree_histogram(g)
+    degree = dict(g.degree())
+    jdm: Counter = Counter()
+    for u, v in g.edges():
+        jdm[(degree[u], degree[v])] += 1
+        if degree[u] != degree[v]:
+            jdm[(degree[v], degree[u])] += 1
+    shared = Counter(len(set(g[u]) & set(g[v])) for u, v in g.edges())
+    lcc = g.subgraph(max(nx.connected_components(g), key=len))
+    lengths = Counter(
+        d
+        for _, row in nx.all_pairs_shortest_path_length(lcc)
+        for d in row.values()
+        if d > 0
+    )
+    pairs = sum(lengths.values())
+    score = dict.fromkeys(g, 0.0)
+    for u, b in nx.betweenness_centrality(lcc, normalized=False).items():
+        score[u] = 2.0 * b
+    return {
+        "num_nodes": float(n),
+        "average_degree": 2.0 * m / n,
+        "degree_distribution": {k: c / n for k, c in enumerate(hist) if k >= 1 and c},
+        "joint_degree_distribution": {
+            (k, kp): (2 if k == kp else 1) * c / (2.0 * m) for (k, kp), c in jdm.items()
+        },
+        "neighbor_connectivity": {
+            k: v for k, v in nx.average_degree_connectivity(g).items() if k >= 1
+        },
+        "clustering": nx.average_clustering(g),
+        "degree_clustering": _by_degree(g, nx.clustering(g)),
+        "shared_partners": {s: c / m for s, c in shared.items()},
+        "average_path_length": (
+            sum(d * c for d, c in lengths.items()) / pairs if pairs else 0.0
+        ),
+        "path_length_distribution": {d: c / pairs for d, c in lengths.items()},
+        "diameter": float(max(lengths, default=0)),
+        "degree_betweenness": _by_degree(g, score),
+        "largest_eigenvalue": float(np.linalg.eigvalsh(nx.to_numpy_array(g))[-1]),
+    }
+
+
+def _assert_close(ours, theirs, rel: float) -> None:
+    if isinstance(theirs, dict):
+        assert set(ours) == set(theirs)
+        for key, value in theirs.items():
+            assert math.isclose(ours[key], value, rel_tol=rel, abs_tol=rel), key
+    else:
+        assert math.isclose(ours, theirs, rel_tol=rel, abs_tol=rel)
+
+
+@pytest.mark.parametrize("backend", ["python", "csr"])
+@settings(max_examples=60, deadline=None)
+@given(graph=simple_graphs)
+def test_all_properties_match_networkx(backend, graph):
+    """Every property of an exact-mode evaluation equals what networkx
+    computes independently, on both backends.  Everything but λ1 agrees to
+    float round-off; λ1 agrees to the eigensolver's tolerance (1e-8)."""
+    config = EvaluationConfig(exact_threshold=10**6, exact_paths=True, backend=backend)
+    ours = compute_properties(graph, config)
+    theirs = _networkx_properties(to_networkx_simple(graph))
+    for name in PROPERTY_NAMES:
+        rel = 1e-8 if name == "largest_eigenvalue" else 1e-12
+        _assert_close(ours.value(name), theirs[name], rel)
+    _assert_close(
+        joint_degree_distribution(graph, backend=backend),
+        theirs["joint_degree_distribution"],
+        1e-12,
+    )

@@ -24,7 +24,6 @@ from hypothesis import strategies as st
 from repro.api.workers import pool_worker_init, publish_cells, publish_datasets
 from repro.engine import bfs_kernels
 from repro.engine.csr import CSRGraph, freeze
-from repro.engine.kernels import ensure_generator
 from repro.engine.store import (
     SharedSnapshot,
     attach,
@@ -35,7 +34,7 @@ from repro.engine.store import (
     save_snapshot,
     snapshot_nbytes,
 )
-from repro.errors import GraphError, SamplingError, StoreError
+from repro.errors import GraphError, StoreError
 from repro.experiments.runner import (
     ExperimentConfig,
     clear_shared_datasets,
@@ -47,12 +46,8 @@ from repro.experiments.runner import (
 from repro.graph.generators import powerlaw_cluster_graph
 from repro.graph.multigraph import MultiGraph
 from repro.metrics.suite import EvaluationConfig
-from repro.sampling.csr_access import (
-    _advance,
-    _start_positions,
-    independent_batched_walks,
-)
-from repro.sampling.walkers import SamplingList
+from repro.sampling.access import GraphAccess
+from repro.sampling.walkers import random_walk
 
 edge_lists = st.lists(
     st.tuples(st.integers(0, 10), st.integers(0, 10)), min_size=0, max_size=80
@@ -352,83 +347,13 @@ class TestKernelsOnStoredSnapshots:
         with SharedSnapshot.create(csr) as snap:
             shared = attach(snap.name)
             try:
-                a = independent_batched_walks(csr, 4, 12, rng=3)
-                b = independent_batched_walks(shared, 4, 12, rng=3)
-                for wa, wb in zip(a, b, strict=True):
-                    assert wa.nodes == wb.nodes
-                    assert wa.neighbors == wb.neighbors
+                for rng in range(4):
+                    a = random_walk(GraphAccess(csr), 12, rng=rng)
+                    b = random_walk(GraphAccess(shared), 12, rng=rng)
+                    assert a.nodes == b.nodes
+                    assert a.neighbors == b.neighbors
             finally:
                 detach(snap.name)
-
-
-# ----------------------------------------------------------------------
-# vectorized independent walks == the scalar reference semantics
-# ----------------------------------------------------------------------
-def _reference_independent_walks(csr, num_walks, target, rng, max_steps=None):
-    """The pre-vectorization per-visit record/query loop, verbatim
-    semantics: every active walker records its node each round, stops
-    once *it* holds ``target`` distinct nodes, survivors advance through
-    the same single vectorized draw."""
-    gen = ensure_generator(rng)
-    current = _start_positions(csr, num_walks, None, gen)
-    cap = max_steps if max_steps is not None else 1000 * max(target, 1)
-    walks = [SamplingList() for _ in range(num_walks)]
-    seen: list[set] = [set() for _ in range(num_walks)]
-    active = list(range(num_walks))
-    node_list = csr.node_list
-    for _ in range(cap):
-        for slot, w in enumerate(active):
-            i = int(current[slot])
-            node = node_list[i]
-            walks[w].record(node, csr.incident_edge_endpoints(node))
-            seen[w].add(i)
-        still = [slot for slot, w in enumerate(active) if len(seen[w]) < target]
-        if not still:
-            return walks
-        active = [active[slot] for slot in still]
-        current = _advance(csr, current[still], gen)
-    raise SamplingError("reference walk cap exceeded")
-
-
-class TestIndependentWalksEquivalence:
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_matches_scalar_reference(self, seed):
-        g = powerlaw_cluster_graph(60, 2, 0.4, rng=seed + 100)
-        csr = freeze(g)
-        got = independent_batched_walks(csr, 5, 9, rng=seed)
-        ref = _reference_independent_walks(csr, 5, 9, rng=seed)
-        for a, b in zip(got, ref, strict=True):
-            assert a.nodes == b.nodes
-            assert list(a.neighbors) == list(b.neighbors)  # insertion order
-            assert a.neighbors == b.neighbors
-
-    def test_matches_reference_on_labeled_loops_and_parallels(self):
-        g = MultiGraph.from_edges(
-            [("a", "b"), ("b", "c"), ("c", "a"), ("b", "b"), ("a", "b")]
-        )
-        csr = freeze(g)
-        got = independent_batched_walks(csr, 3, 3, rng=11)
-        ref = _reference_independent_walks(csr, 3, 3, rng=11)
-        for a, b in zip(got, ref, strict=True):
-            assert a.nodes == b.nodes
-            assert a.neighbors == b.neighbors
-
-    def test_set_fallback_path_identical(self, monkeypatch):
-        import repro.sampling.csr_access as csr_access
-
-        g = powerlaw_cluster_graph(50, 2, 0.3, rng=42)
-        csr = freeze(g)
-        vectorized = independent_batched_walks(csr, 4, 8, rng=7)
-        monkeypatch.setattr(csr_access, "_SEEN_MATRIX_BYTES", 0)
-        fallback = independent_batched_walks(csr, 4, 8, rng=7)
-        for a, b in zip(vectorized, fallback, strict=True):
-            assert a.nodes == b.nodes
-            assert a.neighbors == b.neighbors
-
-    def test_cap_error_message_preserved(self):
-        csr = freeze(MultiGraph.from_edges([(0, 1)]))
-        with pytest.raises(SamplingError, match="within 3 rounds"):
-            independent_batched_walks(csr, 2, 5, rng=1, max_steps=3)
 
 
 # ----------------------------------------------------------------------
