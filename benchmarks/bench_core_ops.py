@@ -149,22 +149,41 @@ def _rewiring_calibration() -> list[dict]:
     return rows
 
 
+def _break_even(rows: list[dict]) -> dict | None:
+    """The smallest budget from which csr wins at every larger budget.
+
+    One row where csr happens to win between python wins is timing noise
+    around the crossing, not a break-even, so the break-even is where the
+    trailing run of csr wins starts.  Its ``margin`` is the python/csr
+    time ratio at that budget.  ``None`` when python wins the largest
+    budget.
+    """
+    start = None
+    for row in sorted(rows, key=lambda row: row["attempts"]):
+        if row["csr_seconds"] > row["python_seconds"]:
+            start = None
+        elif start is None:
+            start = row
+    if start is None:
+        return None
+    return {
+        "attempts": start["attempts"],
+        "margin": start["python_seconds"] / start["csr_seconds"],
+    }
+
+
 def test_bench_auto_threshold_calibration(results_dir):
     """Measure the break-even of the one kernel ``auto`` still thresholds.
 
     Rewiring is timed end to end per coefficient
     (:func:`_rewiring_calibration`), construction included, and its
-    break-even is an attempt budget.  The committed JSON is the
-    provenance of the ``rewiring`` entry of ``AUTO_KERNEL_THRESHOLDS`` in
-    ``repro/engine/dispatch.py``.
+    break-even is an attempt budget (:func:`_break_even`).  The committed
+    JSON is the provenance of the ``rewiring`` entry of
+    ``AUTO_KERNEL_THRESHOLDS`` in ``repro/engine/dispatch.py``.
     """
     rewiring = _rewiring_calibration()
     rewiring_break_even = {
-        str(rc): next(
-            (row["attempts"] for row in rewiring
-             if row["rc"] == rc and row["csr_seconds"] <= row["python_seconds"]),
-            None,
-        )
+        str(rc): _break_even([row for row in rewiring if row["rc"] == rc])
         for rc in REWIRING_RCS
     }
     payload = {
@@ -173,17 +192,22 @@ def test_bench_auto_threshold_calibration(results_dir):
             "sizes": list(REWIRING_SIZES),
             "max_attempts": REWIRING_MAX_ATTEMPTS,
             "measured": rewiring,
-            "break_even_attempts": rewiring_break_even,
+            "break_even": rewiring_break_even,
         },
     }
     write_json("bench_core_ops_thresholds.json", payload)
 
     lines = [
-        "# rewiring break-even per coefficient (construction included)",
-        "rc\tbreak-even attempts",
+        "# rewiring break-even per coefficient (construction included):",
+        "# the smallest budget from which csr wins at every larger budget,",
+        "# and csr's speedup over python there",
+        "rc\tbreak-even attempts\tmargin",
     ]
-    for rc, attempts in rewiring_break_even.items():
-        lines.append(f"{rc}\t{attempts if attempts is not None else '> max budget'}")
+    for rc, even in rewiring_break_even.items():
+        if even is None:
+            lines.append(f"{rc}\t> max budget\t-")
+        else:
+            lines.append(f"{rc}\t{even['attempts']}\t{even['margin']:.2f}x")
     write_result("bench_core_ops_thresholds.txt", "\n".join(lines))
 
     # the csr rewiring core must win at every coefficient's largest budget,

@@ -40,6 +40,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.engine.dispatch import BACKENDS
 from repro.errors import ExperimentError
 from repro.sampling.faults import FaultPolicy
 
@@ -48,7 +49,6 @@ if TYPE_CHECKING:  # avoid a runtime cycle: runner imports spawn_seeds
 
     from repro.experiments.runner import ExperimentConfig
 
-_BACKENDS = ("auto", "python", "csr")
 _U64 = 0xFFFFFFFFFFFFFFFF
 
 
@@ -120,9 +120,9 @@ class RunContext:
     workers: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.backend not in _BACKENDS:
+        if self.backend not in BACKENDS:
             raise ExperimentError(
-                f"unknown backend {self.backend!r}; expected one of {_BACKENDS}"
+                f"unknown backend {self.backend!r}; expected one of {BACKENDS}"
             )
         if self.jobs < 1:
             raise ExperimentError(f"jobs must be >= 1, got {self.jobs}")

@@ -47,6 +47,7 @@ import argparse
 import sys
 
 from repro.api import RunContext
+from repro.engine.dispatch import BACKENDS
 from repro.experiments import figures, tables
 from repro.experiments.ablations import (
     format_ablation,
@@ -112,7 +113,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if execution:
             p.add_argument(
                 "--backend",
-                choices=("auto", "python", "csr"),
+                choices=BACKENDS,
                 default="auto",
                 help="compute backend for property evaluation and rewiring "
                 "(auto evaluates on the CSR engine and picks the rewiring "
@@ -227,7 +228,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rest.add_argument("--seed", type=int, default=1)
     p_rest.add_argument(
         "--backend",
-        choices=("auto", "python", "csr"),
+        choices=BACKENDS,
         default="auto",
         help="rewiring/evaluation compute backend (auto evaluates on the "
         "CSR engine and picks the rewiring core by attempt budget)",
@@ -546,9 +547,9 @@ def _cmd_restore(args) -> str:
     if policy is None:
         access = GraphAccess(graph)
     else:
-        from repro.sampling.faults import make_faulty_access, spawn_fault_seed
+        from repro.sampling.faults import FaultyAccess, spawn_fault_seed
 
-        access = make_faulty_access(
+        access = FaultyAccess(
             graph, policy, fault_seed=spawn_fault_seed(args.seed), budget=target
         )
     result = restore_graph(

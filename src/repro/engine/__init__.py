@@ -1,4 +1,4 @@
-"""Array-backed compute engine: CSR snapshots, vectorized kernels, dispatch.
+"""Array-backed compute engine: CSR snapshots, vectorized kernels, backends.
 
 The engine is a parallel compute layer under the pure-Python reference
 implementation:
@@ -11,10 +11,12 @@ implementation:
 * :mod:`repro.engine.bfs_kernels` — frontier-based BFS kernels: batched
   level-synchronous shortest-path sweeps and Brandes betweenness
   accumulation, replaying the reference floats bit for bit.
-* :mod:`repro.engine.dispatch` — ``backend="auto" | "python" | "csr"``
-  routing used by :mod:`repro.metrics`, the rewiring engine, and the
-  experiment harness; ``auto`` runs every property kernel on the CSR
-  kernels, and only rewiring keeps a size threshold.
+* :mod:`repro.engine.dispatch` — :func:`resolve_backend`, which turns
+  ``backend="auto" | "python" | "csr"`` into a concrete backend, and the
+  freeze cache behind :func:`ensure_csr`.  Each :mod:`repro.metrics`
+  function and the rewiring engine call it once and then run their
+  kernel or reference body themselves; ``auto`` runs every property
+  kernel on CSR, and only rewiring keeps a size threshold.
 * :mod:`repro.engine.store` — the snapshot store: a canonical flat-buffer
   byte layout for frozen snapshots, saved/loaded on disk (RAM or
   ``mmap``-backed out-of-core), streamed out-of-core by ``freeze_stream``,
@@ -35,7 +37,6 @@ from repro.engine.dispatch import (
     AUTO_KERNEL_THRESHOLDS,
     BACKENDS,
     ensure_csr,
-    ensure_multigraph,
     resolve_backend,
 )
 from repro.engine.kernels import ensure_generator
@@ -56,7 +57,6 @@ __all__ = [
     "AUTO_KERNEL_THRESHOLDS",
     "BACKENDS",
     "ensure_csr",
-    "ensure_multigraph",
     "resolve_backend",
     "ensure_generator",
     "bfs_distance_block",

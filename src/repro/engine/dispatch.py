@@ -1,13 +1,17 @@
-"""Backend dispatch: route structural computations to Python or CSR kernels.
+"""Backend selection and the freeze cache behind every CSR kernel call.
 
-Every function here accepts either a mutable :class:`MultiGraph` or a frozen
-:class:`CSRGraph` plus a ``backend`` selector:
+Each structural property picks its backend once, in its own
+:mod:`repro.metrics` function, with the same branch::
+
+    if backend != "python" and dispatch.resolve_backend(backend) == "csr":
+        return kernels.X(dispatch.ensure_csr(graph))
 
 * ``"python"`` — the reference dict-of-dicts implementation in
   :mod:`repro.metrics`; always available, bit-for-bit the historical
   behavior.
-* ``"csr"`` — the vectorized kernels in :mod:`repro.engine.kernels` on a
-  frozen snapshot (frozen on demand, with caching — see below).
+* ``"csr"`` — the vectorized kernels in :mod:`repro.engine.kernels` and
+  :mod:`repro.engine.bfs_kernels` on a frozen snapshot (frozen on demand,
+  with caching — see below).
 * ``"auto"`` — ``csr``.  Only the kernel named in
   :data:`AUTO_KERNEL_THRESHOLDS` compares a workload size against a
   threshold first; every property kernel resolves to ``csr`` at any size,
@@ -31,12 +35,9 @@ from __future__ import annotations
 import os
 import weakref
 
-from repro.engine import kernels
-from repro.engine.csr import CSRGraph, freeze, thaw
+from repro.engine.csr import CSRGraph, freeze
 from repro.errors import EngineError
-from repro.graph.multigraph import MultiGraph, Node
-
-DegreePair = tuple[int, int]
+from repro.graph.multigraph import MultiGraph
 
 BACKENDS: tuple[str, ...] = ("auto", "python", "csr")
 
@@ -111,145 +112,3 @@ def ensure_csr(graph: MultiGraph | CSRGraph) -> CSRGraph:
     csr = freeze(graph)
     _freeze_cache[graph] = (version, csr)
     return csr
-
-
-def ensure_multigraph(graph: MultiGraph | CSRGraph) -> MultiGraph:
-    """Mutable view of ``graph`` (thawed when given a snapshot).
-
-    Returns
-    -------
-    MultiGraph
-        The input itself when already mutable; otherwise a fresh thaw —
-        structurally identical, but *not* identity-linked to the snapshot
-        (mutations do not propagate back).
-    """
-    if isinstance(graph, CSRGraph):
-        return thaw(graph)
-    return graph
-
-
-def _resolve_for(graph: MultiGraph | CSRGraph, backend: str) -> str:
-    if backend == "auto" and isinstance(graph, CSRGraph):
-        # a snapshot in hand makes csr free; only an explicit "python" thaws
-        return "csr"
-    return resolve_backend(backend)
-
-
-# ----------------------------------------------------------------------
-# dispatched computations
-# ----------------------------------------------------------------------
-def degree_vector(
-    graph: MultiGraph | CSRGraph, backend: str = "auto"
-) -> dict[int, int]:
-    """``{n(k)}`` over ``k >= 1`` on the selected backend."""
-    if _resolve_for(graph, backend) == "csr":
-        return kernels.degree_vector(ensure_csr(graph))
-    from repro.metrics import basic
-
-    return basic.degree_vector(ensure_multigraph(graph))
-
-
-def degree_distribution(
-    graph: MultiGraph | CSRGraph, backend: str = "auto"
-) -> dict[int, float]:
-    """``{P(k)}`` on the selected backend."""
-    if _resolve_for(graph, backend) == "csr":
-        return kernels.degree_distribution(ensure_csr(graph))
-    from repro.metrics import basic
-
-    return basic.degree_distribution(ensure_multigraph(graph))
-
-
-def joint_degree_matrix(
-    graph: MultiGraph | CSRGraph, backend: str = "auto"
-) -> dict[DegreePair, int]:
-    """``{m(k,k')}`` on the selected backend."""
-    if _resolve_for(graph, backend) == "csr":
-        return kernels.joint_degree_matrix(ensure_csr(graph))
-    from repro.metrics import basic
-
-    return basic.joint_degree_matrix(ensure_multigraph(graph))
-
-
-def joint_degree_distribution(
-    graph: MultiGraph | CSRGraph, backend: str = "auto"
-) -> dict[DegreePair, float]:
-    """``{P(k,k')}`` on the selected backend."""
-    if _resolve_for(graph, backend) == "csr":
-        return kernels.joint_degree_distribution(ensure_csr(graph))
-    from repro.metrics import basic
-
-    return basic.joint_degree_distribution(ensure_multigraph(graph))
-
-
-def triangles_per_node(
-    graph: MultiGraph | CSRGraph, backend: str = "auto"
-) -> dict[Node, float]:
-    """``{t_i}`` on the selected backend."""
-    if _resolve_for(graph, backend) == "csr":
-        return kernels.triangles_per_node(ensure_csr(graph))
-    from repro.metrics import clustering
-
-    return clustering.triangles_per_node(ensure_multigraph(graph))
-
-
-def network_clustering(graph: MultiGraph | CSRGraph, backend: str = "auto") -> float:
-    """``c̄`` on the selected backend."""
-    if _resolve_for(graph, backend) == "csr":
-        return kernels.network_clustering(ensure_csr(graph))
-    from repro.metrics import clustering
-
-    return clustering.network_clustering(ensure_multigraph(graph))
-
-
-def degree_dependent_clustering(
-    graph: MultiGraph | CSRGraph, backend: str = "auto"
-) -> dict[int, float]:
-    """``{c̄(k)}`` on the selected backend."""
-    if _resolve_for(graph, backend) == "csr":
-        return kernels.degree_dependent_clustering(ensure_csr(graph))
-    from repro.metrics import clustering
-
-    return clustering.degree_dependent_clustering(ensure_multigraph(graph))
-
-
-def neighbor_connectivity(
-    graph: MultiGraph | CSRGraph, backend: str = "auto"
-) -> dict[int, float]:
-    """``{k̄nn(k)}`` on the selected backend."""
-    if _resolve_for(graph, backend) == "csr":
-        return kernels.neighbor_connectivity(ensure_csr(graph))
-    from repro.metrics import basic
-
-    return basic.neighbor_connectivity(ensure_multigraph(graph))
-
-
-def shared_partner_distribution(
-    graph: MultiGraph | CSRGraph, backend: str = "auto"
-) -> dict[int, float]:
-    """``{P(s)}`` on the selected backend."""
-    if _resolve_for(graph, backend) == "csr":
-        return kernels.shared_partner_distribution(ensure_csr(graph))
-    from repro.metrics import clustering
-
-    return clustering.shared_partner_distribution(ensure_multigraph(graph))
-
-
-def largest_eigenvalue(
-    graph: MultiGraph | CSRGraph, tol: float = 1e-8, backend: str = "auto"
-) -> float:
-    """λ1 on the selected backend.
-
-    Both backends run :func:`repro.metrics.spectral.matrix_largest_eigenvalue`
-    on byte-identical adjacency matrices — the CSR path only swaps the
-    per-edge Python matrix construction for the snapshot's cached
-    vectorized build.
-    """
-    from repro.metrics import spectral
-
-    if _resolve_for(graph, backend) == "csr":
-        csr = ensure_csr(graph)
-        if csr.num_nodes == 0 or csr.num_edges == 0:
-            return 0.0
-        return spectral.matrix_largest_eigenvalue(csr.adjacency_matrix(), tol=tol)
-    return spectral.largest_eigenvalue(ensure_multigraph(graph), tol=tol)

@@ -1,20 +1,26 @@
 """Numpy/scipy kernels over :class:`~repro.engine.csr.CSRGraph` snapshots.
 
-Each kernel is the vectorized twin of a pure-Python routine elsewhere in the
-library and returns the *same* value (exactly for the integer-valued
-quantities — degree vector, joint degree matrix, triangle counts, which are
-integer arithmetic carried in float64 — and to float round-off for the
-averaged clustering aggregates, whose summation order differs):
+Each kernel is the vectorized twin of a pure-Python routine in
+:mod:`repro.metrics`, which calls it directly when its ``backend``
+resolves to ``csr``.  It returns the *same* value: bit for bit for the
+degree vector, joint degree matrix, triangle counts, neighbor
+connectivity and shared partners, and to float round-off for the
+averaged clustering aggregates, whose summation order differs:
 
-=============================  =============================================
-kernel                         pure-Python reference
-=============================  =============================================
-``degree_vector``              :func:`repro.metrics.basic.degree_vector`
-``joint_degree_matrix``        :func:`repro.metrics.basic.joint_degree_matrix`
-``triangles_per_node``         :func:`repro.metrics.clustering.triangles_per_node`
-``network_clustering``         :func:`repro.metrics.clustering.network_clustering`
-``degree_dependent_clustering``:func:`repro.metrics.clustering.degree_dependent_clustering`
-=============================  =============================================
+===============================  ===========================================
+kernel                           pure-Python reference
+===============================  ===========================================
+``degree_vector``                :func:`repro.metrics.basic.degree_vector`
+``joint_degree_matrix``          :func:`repro.metrics.basic.joint_degree_matrix`
+``neighbor_connectivity``        :func:`repro.metrics.basic.neighbor_connectivity`
+``triangles_per_node``           :func:`repro.metrics.clustering.triangles_per_node`
+``network_clustering``           :func:`repro.metrics.clustering.network_clustering`
+``degree_dependent_clustering``  :func:`repro.metrics.clustering.degree_dependent_clustering`
+``shared_partner_distribution``  :func:`repro.metrics.clustering.shared_partner_distribution`
+===============================  ===========================================
+
+P(k) and P(k,k') have no kernel of their own: the metrics functions
+normalize ``degree_vector`` and ``joint_degree_matrix`` on either backend.
 """
 
 from __future__ import annotations
@@ -71,21 +77,6 @@ def degree_vector(csr: CSRGraph) -> dict[int, int]:
     return {int(k): int(c) for k, c in zip(ks, counts, strict=True)}
 
 
-def degree_distribution(csr: CSRGraph) -> dict[int, float]:
-    """``{P(k) = n(k) / n}`` over ``k >= 1``.
-
-    Returns
-    -------
-    dict[int, float]
-        :func:`degree_vector` normalized by the node count; divisions
-        mirror the reference, so the floats are bit-identical.
-    """
-    n = csr.num_nodes
-    if n == 0:
-        return {}
-    return {k: c / n for k, c in degree_vector(csr).items()}
-
-
 def joint_degree_matrix(csr: CSRGraph) -> dict[DegreePair, int]:
     """``{m(k, k')}`` stored symmetrically — twin of the metrics version.
 
@@ -107,25 +98,6 @@ def joint_degree_matrix(csr: CSRGraph) -> dict[DegreePair, int]:
         k, kp = divmod(key, stride)
         m[(k, kp)] = c // 2 if k == kp else c
     return m
-
-
-def joint_degree_distribution(csr: CSRGraph) -> dict[DegreePair, float]:
-    """``{P(k,k') = mu m(k,k') / (2m)}`` — twin of the metrics version.
-
-    Returns
-    -------
-    dict[tuple[int, int], float]
-        Symmetric sparse mapping; the diagonal factor ``mu(k,k) = 2``
-        makes the entries sum to 1 (Eq. (3) of the paper).
-    """
-    total = csr.num_edges
-    if total == 0:
-        return {}
-    out: dict[DegreePair, float] = {}
-    for (k, kp), count in joint_degree_matrix(csr).items():
-        mu = 2 if k == kp else 1
-        out[(k, kp)] = mu * count / (2.0 * total)
-    return out
 
 
 # ----------------------------------------------------------------------

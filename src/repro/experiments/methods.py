@@ -23,7 +23,7 @@ from repro.sampling.crawlers import (
     forest_fire_crawl,
     snowball_crawl,
 )
-from repro.sampling.faults import FaultPolicy, make_faulty_access, spawn_fault_seed
+from repro.sampling.faults import FaultPolicy, FaultyAccess, spawn_fault_seed
 from repro.sampling.subgraph import build_subgraph
 from repro.sampling.walkers import SamplingList, random_walk
 from repro.utils.rng import ensure_rng
@@ -121,7 +121,7 @@ def run_methods_once(
         is imperfect (each slot gets its own dedicated fault stream)."""
         if not faulty:
             return GraphAccess(original)
-        return make_faulty_access(
+        return FaultyAccess(
             original,
             fault_policy,
             fault_seed=spawn_fault_seed(fault_seed, _FAULT_SLOTS[slot]),

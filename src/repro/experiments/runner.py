@@ -372,9 +372,9 @@ def _materialize_cell(config: ExperimentConfig):
     the memo (pre-seeded by the parent for shared datasets); when a
     shared graph exists but this evaluation's truth was not shipped (a
     service worker seeing a new request shape), the truth is computed
-    from the *mutable* dataset on the canonical path — evaluating the 12
-    properties on the snapshot directly would let ``backend="auto"``
-    resolve differently than the serial reference and break bit-identity.
+    from the *mutable* dataset on the canonical path, the one the serial
+    reference takes — the python reference bodies of the 12 properties
+    take a ``MultiGraph`` only.
     """
     shared = _SHARED_DATASETS.get((config.dataset, config.scale))
     if shared is not None:

@@ -21,13 +21,14 @@ def degree_vector(graph: MultiGraph, backend: str = "python") -> dict[int, int]:
     isolated nodes.
 
     ``backend`` selects the compute path (``"python"`` here keeps the
-    reference loop; ``"csr"`` / ``"auto"`` route through
-    :mod:`repro.engine.dispatch`).
+    reference loop; ``"csr"`` / ``"auto"`` run
+    :func:`repro.engine.kernels.degree_vector` on a frozen snapshot).
     """
     if backend != "python":
-        from repro.engine import dispatch
+        from repro.engine import dispatch, kernels
 
-        return dispatch.degree_vector(graph, backend=backend)
+        if dispatch.resolve_backend(backend) == "csr":
+            return kernels.degree_vector(dispatch.ensure_csr(graph))
     hist = graph.degree_histogram()
     return {k: c for k, c in hist.items() if k >= 1}
 
@@ -52,9 +53,10 @@ def joint_degree_matrix(
     Loops at a degree-``k`` node count toward ``m(k, k)`` (one per loop).
     """
     if backend != "python":
-        from repro.engine import dispatch
+        from repro.engine import dispatch, kernels
 
-        return dispatch.joint_degree_matrix(graph, backend=backend)
+        if dispatch.resolve_backend(backend) == "csr":
+            return kernels.joint_degree_matrix(dispatch.ensure_csr(graph))
     degrees = graph.degrees()
     m: dict[DegreePair, int] = {}
     for u, v in graph.edges():
@@ -92,13 +94,15 @@ def neighbor_connectivity(
     ``k̄nn(k) = (1/n(k)) sum_{i: d_i=k} (1/k) sum_j A_ij d_j`` — multiplicity
     (and loops, via ``A_ii d_i``) included per the adjacency convention.
 
-    ``backend`` selects the compute path (``"csr"`` / ``"auto"`` route
-    through :mod:`repro.engine.dispatch` onto a frozen snapshot).
+    ``backend`` selects the compute path (``"csr"`` / ``"auto"`` run
+    :func:`repro.engine.kernels.neighbor_connectivity` on a frozen
+    snapshot).
     """
     if backend != "python":
-        from repro.engine import dispatch
+        from repro.engine import dispatch, kernels
 
-        return dispatch.neighbor_connectivity(graph, backend=backend)
+        if dispatch.resolve_backend(backend) == "csr":
+            return kernels.neighbor_connectivity(dispatch.ensure_csr(graph))
     degrees = graph.degrees()
     sums: Counter[int] = Counter()
     counts: Counter[int] = Counter()

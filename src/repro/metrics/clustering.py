@@ -20,13 +20,14 @@ def triangles_per_node(
 ) -> dict[Node, float]:
     """``{t_i}``: (possibly fractional-free) triangle count through each node.
 
-    ``backend`` selects the compute path (``"csr"`` / ``"auto"`` route
-    through :mod:`repro.engine.dispatch` onto a frozen snapshot).
+    ``backend`` selects the compute path (``"csr"`` / ``"auto"`` run
+    :func:`repro.engine.kernels.triangles_per_node` on a frozen snapshot).
     """
     if backend != "python":
-        from repro.engine import dispatch
+        from repro.engine import dispatch, kernels
 
-        return dispatch.triangles_per_node(graph, backend=backend)
+        if dispatch.resolve_backend(backend) == "csr":
+            return kernels.triangles_per_node(dispatch.ensure_csr(graph))
     if graph.num_nodes == 0:
         return {}
     nodes, index = node_ordering(graph)
@@ -44,9 +45,10 @@ def network_clustering(graph: MultiGraph, backend: str = "python") -> float:
     and conventionally zero).
     """
     if backend != "python":
-        from repro.engine import dispatch
+        from repro.engine import dispatch, kernels
 
-        return dispatch.network_clustering(graph, backend=backend)
+        if dispatch.resolve_backend(backend) == "csr":
+            return kernels.network_clustering(dispatch.ensure_csr(graph))
     n = graph.num_nodes
     if n == 0:
         return 0.0
@@ -64,9 +66,10 @@ def degree_dependent_clustering(
 ) -> dict[int, float]:
     """``{c̄(k)}``: mean local clustering of degree-``k`` nodes, ``c̄(1) = 0``."""
     if backend != "python":
-        from repro.engine import dispatch
+        from repro.engine import dispatch, kernels
 
-        return dispatch.degree_dependent_clustering(graph, backend=backend)
+        if dispatch.resolve_backend(backend) == "csr":
+            return kernels.degree_dependent_clustering(dispatch.ensure_csr(graph))
     if graph.num_nodes == 0:
         return {}
     tri = triangles_per_node(graph)
@@ -91,13 +94,15 @@ def shared_partner_distribution(
     parallel copy of an edge contributes separately, loops are excluded
     (the paper sums over ``i < j``).
 
-    ``backend`` selects the compute path (``"csr"`` / ``"auto"`` route
-    through :mod:`repro.engine.dispatch` onto a frozen snapshot).
+    ``backend`` selects the compute path (``"csr"`` / ``"auto"`` run
+    :func:`repro.engine.kernels.shared_partner_distribution` on a frozen
+    snapshot).
     """
     if backend != "python":
-        from repro.engine import dispatch
+        from repro.engine import dispatch, kernels
 
-        return dispatch.shared_partner_distribution(graph, backend=backend)
+        if dispatch.resolve_backend(backend) == "csr":
+            return kernels.shared_partner_distribution(dispatch.ensure_csr(graph))
     m = graph.num_edges
     if m == 0:
         return {}

@@ -32,16 +32,19 @@ def largest_eigenvalue(
         ARPACK / power-iteration convergence tolerance.
     backend:
         ``"python"`` builds the sparse adjacency with the per-edge
-        reference loop; ``"csr"`` / ``"auto"`` route through
-        :mod:`repro.engine.dispatch`, reading the byte-identical matrix
-        off a frozen snapshot's cache instead.  The eigensolver itself is
-        shared (:func:`matrix_largest_eigenvalue`), so both backends run
-        the same arithmetic on the same matrix.
+        reference loop; ``"csr"`` / ``"auto"`` read the byte-identical
+        matrix off a frozen snapshot's cache instead.  The eigensolver
+        itself is shared (:func:`matrix_largest_eigenvalue`), so both
+        backends run the same arithmetic on the same matrix.
     """
     if backend != "python":
         from repro.engine import dispatch
 
-        return dispatch.largest_eigenvalue(graph, tol=tol, backend=backend)
+        if dispatch.resolve_backend(backend) == "csr":
+            csr = dispatch.ensure_csr(graph)
+            if csr.num_nodes == 0 or csr.num_edges == 0:
+                return 0.0
+            return matrix_largest_eigenvalue(csr.adjacency_matrix(), tol=tol)
     n = graph.num_nodes
     if n == 0 or graph.num_edges == 0:
         return 0.0

@@ -79,9 +79,9 @@ class EvaluationConfig:
     ``RunContext(exact_paths=True)`` / ``--exact-paths``.
 
     ``backend`` selects the compute path for every one of the 12
-    properties: ``"auto"`` routes every graph through
-    :mod:`repro.engine.dispatch` onto frozen CSR snapshots, whatever its
-    size; ``"python"`` / ``"csr"`` force one side.  Results
+    properties: ``"auto"`` runs every graph on the CSR kernels over a
+    frozen snapshot (:func:`repro.engine.dispatch.ensure_csr`), whatever
+    its size; ``"python"`` / ``"csr"`` force one side.  Results
     agree per the engine's contract: bit-identical on fixed seeds for
     every property except the documented round-off pair — the clustering
     aggregates (different float summation order, ≤1e-12 relative) and λ1

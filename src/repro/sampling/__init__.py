@@ -11,7 +11,6 @@ from repro.sampling.access import GraphAccess
 from repro.sampling.faults import (
     FaultPolicy,
     FaultyAccess,
-    make_faulty_access,
     policy_from_knobs,
     spawn_fault_seed,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "GraphAccess",
     "FaultPolicy",
     "FaultyAccess",
-    "make_faulty_access",
     "policy_from_knobs",
     "spawn_fault_seed",
     "SamplingList",

@@ -343,25 +343,3 @@ class FaultyAccess(GraphAccess):
     def budget_exhausted(self) -> bool:
         """True when no further calls may be charged."""
         return self._budget is not None and self._calls >= self._budget
-
-
-def make_faulty_access(
-    graph,
-    policy: FaultPolicy,
-    fault_seed: int = 0,
-    budget: int | None = None,
-) -> FaultyAccess:
-    """The faulty access the experiment harness crawls through.
-
-    A :class:`FaultyAccess`, whatever ``graph`` is — a
-    :class:`~repro.graph.multigraph.MultiGraph` or a frozen
-    :class:`~repro.engine.csr.CSRGraph` snapshot (including a
-    shared-memory attach), both of which serve the neighbor-query
-    surface identically.  This mirrors the ideal harness,
-    which wraps whichever graph object it holds in a plain
-    :class:`~repro.sampling.access.GraphAccess`: a serial cell (crawling
-    the MultiGraph) and a pooled worker (crawling the shared CSR
-    snapshot) must draw identical ``random_seed`` re-seeds, which the
-    class — not just the data — determines.
-    """
-    return FaultyAccess(graph, policy, fault_seed=fault_seed, budget=budget)

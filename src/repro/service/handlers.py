@@ -129,12 +129,12 @@ def _handle_restore(params: dict) -> dict:
     if policy is None:
         access = GraphAccess(graph)
     else:
-        from repro.sampling.faults import make_faulty_access, spawn_fault_seed
+        from repro.sampling.faults import FaultyAccess, spawn_fault_seed
 
         # same derivation as the harness: the fault stream is a dedicated
         # child of the request seed, so identical requests replay
         # identical degraded crawls (shared snapshot or not)
-        access = make_faulty_access(
+        access = FaultyAccess(
             graph,
             policy,
             fault_seed=spawn_fault_seed(params["seed"]),

@@ -13,11 +13,6 @@ from repro.engine import (
     thaw,
 )
 from repro.engine import kernels
-from repro.engine.dispatch import (
-    degree_vector as dispatch_degree_vector,
-    joint_degree_matrix as dispatch_jdm,
-    network_clustering as dispatch_clustering,
-)
 from repro.errors import EngineError, GraphError, SamplingError
 from repro.graph.generators import complete_graph
 from repro.graph.multigraph import MultiGraph
@@ -227,22 +222,20 @@ def test_short_circuited_rewiring_reports_no_attempts(backend):
 
 
 def test_dispatch_routes_both_backends(social_graph):
-    py = dispatch_jdm(social_graph, backend="python")
-    cs = dispatch_jdm(social_graph, backend="csr")
+    py = basic.joint_degree_matrix(social_graph, backend="python")
+    cs = basic.joint_degree_matrix(social_graph, backend="csr")
     assert py == cs
-    assert dispatch_degree_vector(social_graph, backend="csr") == basic.degree_vector(
+    assert basic.degree_vector(social_graph, backend="csr") == basic.degree_vector(
         social_graph
     )
-    assert dispatch_clustering(social_graph, backend="csr") == pytest.approx(
+    assert clustering.network_clustering(social_graph, backend="csr") == pytest.approx(
         clustering.network_clustering(social_graph), rel=1e-12, abs=1e-12
     )
 
 
 def test_dispatch_accepts_frozen_input(social_graph):
     csr = freeze(social_graph)
-    assert dispatch_jdm(csr) == basic.joint_degree_matrix(social_graph)
-    # explicit python backend thaws the snapshot
-    assert dispatch_jdm(csr, backend="python") == basic.joint_degree_matrix(
+    assert basic.joint_degree_matrix(csr, backend="auto") == basic.joint_degree_matrix(
         social_graph
     )
 
@@ -343,6 +336,7 @@ def test_auto_backend_picks_csr_for_large_graphs(monkeypatch):
     from repro.engine import AUTO_KERNEL_THRESHOLDS
     from repro.metrics.betweenness import betweenness_centrality
     from repro.metrics.paths import eccentricity_lower_bound, shortest_path_stats
+    from repro.metrics.spectral import largest_eigenvalue
 
     decisions = []
 
@@ -354,16 +348,16 @@ def test_auto_backend_picks_csr_for_large_graphs(monkeypatch):
     monkeypatch.delenv("REPRO_BACKEND", raising=False)
     monkeypatch.setattr(dispatch, "resolve_backend", recorded)
     kernels_under_test = (
-        dispatch.degree_vector,
-        dispatch.degree_distribution,
-        dispatch.joint_degree_matrix,
-        dispatch.joint_degree_distribution,
-        dispatch.triangles_per_node,
-        dispatch.network_clustering,
-        dispatch.degree_dependent_clustering,
-        dispatch.neighbor_connectivity,
-        dispatch.shared_partner_distribution,
-        dispatch.largest_eigenvalue,
+        basic.degree_vector,
+        basic.degree_distribution,
+        basic.joint_degree_matrix,
+        basic.joint_degree_distribution,
+        clustering.triangles_per_node,
+        clustering.network_clustering,
+        clustering.degree_dependent_clustering,
+        basic.neighbor_connectivity,
+        clustering.shared_partner_distribution,
+        largest_eigenvalue,
         shortest_path_stats,
         eccentricity_lower_bound,
         betweenness_centrality,
@@ -379,6 +373,6 @@ def test_auto_backend_picks_csr_for_large_graphs(monkeypatch):
     # ... and REPRO_BACKEND still wins over auto
     monkeypatch.setenv("REPRO_BACKEND", "python")
     decisions.clear()
-    dispatch.degree_vector(g)
+    basic.degree_vector(g, backend="auto")
     shortest_path_stats(g, backend="auto")
     assert decisions == [(None, "python")] * 2

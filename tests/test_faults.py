@@ -48,7 +48,6 @@ from repro.sampling.crawlers import (
 from repro.sampling.faults import (
     FaultPolicy,
     FaultyAccess,
-    make_faulty_access,
     policy_from_knobs,
     spawn_fault_seed,
 )
@@ -168,7 +167,7 @@ _POLICY = FaultPolicy(failure_rate=0.2, rate_limit=15, truncate_at=6, churn=0.1)
 
 def _crawl_under_faults(crawler: str, fault_seed: int, rng_seed: int):
     """Module-level so a spawned worker can run the identical crawl."""
-    access = make_faulty_access(_graph(), _POLICY, fault_seed=fault_seed, budget=60)
+    access = FaultyAccess(_graph(), _POLICY, fault_seed=fault_seed, budget=60)
     result = CRAWLERS[crawler](access, 60, rng=rng_seed)
     return result.queried, sorted(result.neighbors.items())
 
@@ -207,16 +206,6 @@ def test_python_and_csr_access_agree_under_faults():
     rb = bfs_crawl(b, 50, rng=7)
     assert _trace(ra) == _trace(rb)
     assert a.fault_stats == b.fault_stats
-
-
-def test_make_faulty_access_is_class_stable_across_graph_types():
-    """The harness constructor returns the plain wrapper for CSR
-    snapshots too — a serial cell (MultiGraph) and a shared-memory
-    worker (CSR snapshot) must crawl through the same class, or their
-    re-seed draws would diverge and break jobs=N byte-identity."""
-    g = _graph()
-    access = make_faulty_access(ensure_csr(g), _POLICY, fault_seed=1)
-    assert type(access) is FaultyAccess
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +293,7 @@ def test_seed_node_that_churns_reseeds_deterministically(crawler):
     fault_seed = _churning_first_query_seed(pol.churn)
 
     def run():
-        access = make_faulty_access(g, pol, fault_seed=fault_seed, budget=40)
+        access = FaultyAccess(g, pol, fault_seed=fault_seed, budget=40)
         return CRAWLERS[crawler](access, 40, seed=0, rng=11), access
 
     result, access = run()
@@ -337,7 +326,7 @@ def test_lenient_crawl_keeps_partial_result_on_exhaustion(crawler):
     target; the crawl ends with what it has instead of raising."""
     g = _graph()
     pol = FaultPolicy(failure_rate=0.5, max_retries=3)
-    access = make_faulty_access(g, pol, fault_seed=3, budget=25)
+    access = FaultyAccess(g, pol, fault_seed=3, budget=25)
     result = CRAWLERS[crawler](access, g.num_nodes, seed=0, rng=11)
     assert 0 < result.num_queried < g.num_nodes
     assert access.calls <= 25

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import networkx as nx
 import pytest
 
@@ -145,3 +149,19 @@ class TestConvert:
     def test_round_trip_degrees(self, social_graph):
         back = from_networkx(to_networkx(social_graph))
         assert back.degrees() == social_graph.degrees()
+
+    def test_package_imports_without_networkx(self):
+        # networkx is not a declared dependency: only the converters need it
+        code = (
+            "import sys\n"
+            "sys.modules['networkx'] = None\n"
+            "import repro, repro.cli, repro.api, repro.service\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": "src"},
+            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        )
+        assert proc.returncode == 0, proc.stderr
