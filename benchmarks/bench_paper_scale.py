@@ -60,7 +60,6 @@ print(json.dumps({
 def _run_scale(scale: float) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(_REPO / "src")
-    env.pop("REPRO_BACKEND", None)
     proc = subprocess.run(
         [sys.executable, "-c", _CHILD, str(scale), str(FRACTION), str(RC), str(SEED)],
         capture_output=True,

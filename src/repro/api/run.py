@@ -1,7 +1,9 @@
 """The one place cells meet executors: a single queue of run work-items.
 
-``tables``, ``figures``, and ``sweeps`` all reduce to the same step: a
-list of materialized :class:`~repro.experiments.runner.ExperimentConfig`
+Every multi-cell experiment (a table, Figure 3, a sweep) is a
+:func:`~repro.experiments.sweeps.run_sweep`, and it and a parallel
+:func:`~repro.experiments.runner.run_experiment` reduce to the same step:
+a list of materialized :class:`~repro.experiments.runner.ExperimentConfig`
 cells goes to the context's executor and aggregates stream back in cell
 order.  :func:`map_cells` is that step.
 

@@ -536,24 +536,12 @@ def _cmd_restore(args) -> str:
         format_profile_comparison,
         graph_profile,
     )
-    from repro.restore.restorer import restore_graph
-    from repro.sampling.access import GraphAccess
-
     from repro.metrics.suite import EvaluationConfig
+    from repro.restore.restorer import restore_dataset
 
     graph = load_dataset(args.dataset, scale=args.scale)
-    target = max(3, int(round(args.fraction * graph.num_nodes)))
-    policy = _fault_policy(args)
-    if policy is None:
-        access = GraphAccess(graph)
-    else:
-        from repro.sampling.faults import FaultyAccess, spawn_fault_seed
-
-        access = FaultyAccess(
-            graph, policy, fault_seed=spawn_fault_seed(args.seed), budget=target
-        )
-    result = restore_graph(
-        access, target, rc=args.rc, rng=args.seed, backend=args.backend
+    result = restore_dataset(
+        graph, args.fraction, args.rc, args.seed, args.backend, _fault_policy(args)
     )
 
     evaluation = EvaluationConfig(backend=args.backend)

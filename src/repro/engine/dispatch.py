@@ -1,14 +1,15 @@
 """Backend selection and the freeze cache behind every CSR kernel call.
 
 Each structural property picks its backend once, in its own
-:mod:`repro.metrics` function, with the same branch::
+:mod:`repro.metrics` function, with the same switch::
 
-    if backend != "python" and dispatch.resolve_backend(backend) == "csr":
-        return kernels.X(dispatch.ensure_csr(graph))
+    csr = dispatch.snapshot_for(graph, backend)
+    if csr is not None:
+        return kernels.X(csr)
 
 * ``"python"`` — the reference dict-of-dicts implementation in
   :mod:`repro.metrics`; always available, bit-for-bit the historical
-  behavior.
+  behavior.  It takes a ``MultiGraph`` only.
 * ``"csr"`` — the vectorized kernels in :mod:`repro.engine.kernels` and
   :mod:`repro.engine.bfs_kernels` on a frozen snapshot (frozen on demand,
   with caching — see below).
@@ -16,9 +17,7 @@ Each structural property picks its backend once, in its own
   :data:`AUTO_KERNEL_THRESHOLDS` compares a workload size against a
   threshold first; every property kernel resolves to ``csr`` at any size,
   because whole experiment cells run faster that way with byte-identical
-  results.  The ``REPRO_BACKEND`` environment variable, when set to
-  ``python`` or ``csr``, overrides ``auto`` (useful for A/B runs without
-  threading a flag through every call site).
+  results.
 
 Freeze caching
 --------------
@@ -32,7 +31,6 @@ a stale snapshot.
 
 from __future__ import annotations
 
-import os
 import weakref
 
 from repro.engine.csr import CSRGraph, freeze
@@ -50,8 +48,6 @@ BACKENDS: tuple[str, ...] = ("auto", "python", "csr")
 #: has put the break-even anywhere from ~10k to ~100k attempts: it moves
 #: with the share of attempts a climb accepts, and between reruns.
 AUTO_KERNEL_THRESHOLDS: dict[str, int] = {"rewiring": 20_000}
-
-_ENV_VAR = "REPRO_BACKEND"
 
 _freeze_cache: "weakref.WeakKeyDictionary[MultiGraph, tuple[int, CSRGraph]]" = (
     weakref.WeakKeyDictionary()
@@ -72,17 +68,29 @@ def resolve_backend(
         raise EngineError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
     if backend != "auto":
         return backend
-    env = os.environ.get(_ENV_VAR, "").strip().lower()
-    if env in ("python", "csr"):
-        return env
-    if env and env != "auto":
-        raise EngineError(
-            f"invalid {_ENV_VAR}={env!r}; expected 'auto', 'python', or 'csr'"
-        )
     threshold = AUTO_KERNEL_THRESHOLDS.get(kernel) if kernel else None
     if threshold is None or (size is not None and size >= threshold):
         return "csr"
     return "python"
+
+
+def snapshot_for(graph: MultiGraph | CSRGraph, backend: str) -> CSRGraph | None:
+    """The snapshot a property runs its CSR kernel on, or ``None`` when its
+    reference body should run.
+
+    An explicit ``"python"`` makes no decision; any other backend makes
+    exactly one :func:`resolve_backend` call.  The reference bodies take a
+    ``MultiGraph`` only, so a ``CSRGraph`` headed for one raises
+    :class:`~repro.errors.EngineError` naming the backend.
+    """
+    if backend != "python" and resolve_backend(backend) == "csr":
+        return ensure_csr(graph)
+    if isinstance(graph, CSRGraph):
+        raise EngineError(
+            f"backend {backend!r} runs the reference implementation, which "
+            "needs a MultiGraph, not a CSRGraph snapshot"
+        )
+    return None
 
 
 def ensure_csr(graph: MultiGraph | CSRGraph) -> CSRGraph:

@@ -16,11 +16,11 @@ The paper motivates three design decisions that these ablations isolate:
 
 from __future__ import annotations
 
-import random
+import functools
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.graph.datasets import load_dataset
-from repro.graph.multigraph import MultiGraph
 from repro.metrics.suite import (
     EvaluationConfig,
     compute_properties,
@@ -29,7 +29,7 @@ from repro.metrics.suite import (
 from repro.metrics.suite import average_l1 as _avg
 from repro.restore.gjoka import gjoka_generate
 from repro.restore.restorer import restore_from_walk
-from repro.sampling.access import GraphAccess
+from repro.sampling.access import GraphAccess, crawl_budget
 from repro.sampling.walkers import random_walk
 from repro.utils.rng import ensure_rng
 
@@ -46,9 +46,43 @@ class AblationRow:
     final_distance: float
 
 
-def _walk_for(graph: MultiGraph, fraction: float, rng: random.Random):
-    target = max(3, int(round(fraction * graph.num_nodes)))
-    return random_walk(GraphAccess(graph), target, rng=rng)
+def _ablate(
+    variants: list[tuple[str, Callable]],
+    dataset: str,
+    fraction: float,
+    scale: float,
+    seed: int,
+    evaluation: EvaluationConfig | None,
+) -> list[AblationRow]:
+    """Score each ``(label, restore)`` variant on one shared walk.
+
+    The dataset's truth is evaluated once and the walk drawn once, from
+    ``seed``; every variant then restores that walk as
+    ``restore(walk, rng=ensure_rng(seed + 1))``, so variants differ only
+    in the design choice under test.
+    """
+    rng = ensure_rng(seed)
+    cfg = evaluation or EvaluationConfig()
+    graph = load_dataset(dataset, scale=scale)
+    truth = compute_properties(graph, cfg)
+    target = crawl_budget(fraction, graph.num_nodes)
+    walk = random_walk(GraphAccess(graph), target, rng=rng)
+
+    rows: list[AblationRow] = []
+    for variant, restore in variants:
+        result = restore(walk, rng=ensure_rng(seed + 1))
+        d = l1_distances(truth, compute_properties(result.graph, cfg))
+        rows.append(
+            AblationRow(
+                variant=variant,
+                average_l1=_avg(d),
+                clustering_l1=d["degree_clustering"],
+                rewiring_seconds=result.rewiring_seconds,
+                rewiring_accepted=result.rewiring.accepted,
+                final_distance=result.rewiring.final_distance,
+            )
+        )
+    return rows
 
 
 def rewiring_exclusion_ablation(
@@ -61,33 +95,19 @@ def rewiring_exclusion_ablation(
     backend: str = "auto",
 ) -> list[AblationRow]:
     """Proposed pipeline with candidate exclusion on vs. off (same walk)."""
-    rng = ensure_rng(seed)
-    cfg = evaluation or EvaluationConfig()
-    graph = load_dataset(dataset, scale=scale)
-    truth = compute_properties(graph, cfg)
-    walk = _walk_for(graph, fraction, rng)
-
-    rows: list[AblationRow] = []
-    for variant, protect in (("exclude subgraph edges", True), ("all edges", False)):
-        result = restore_from_walk(
-            walk,
-            rc=rc,
-            rng=ensure_rng(seed + 1),
-            protect_subgraph_edges=protect,
-            backend=backend,
+    variants = [
+        (
+            variant,
+            functools.partial(
+                restore_from_walk,
+                rc=rc,
+                protect_subgraph_edges=protect,
+                backend=backend,
+            ),
         )
-        d = l1_distances(truth, compute_properties(result.graph, cfg))
-        rows.append(
-            AblationRow(
-                variant=variant,
-                average_l1=_avg(d),
-                clustering_l1=d["degree_clustering"],
-                rewiring_seconds=result.rewiring_seconds,
-                rewiring_accepted=result.rewiring.accepted,
-                final_distance=result.rewiring.final_distance,
-            )
-        )
-    return rows
+        for variant, protect in (("exclude subgraph edges", True), ("all edges", False))
+    ]
+    return _ablate(variants, dataset, fraction, scale, seed, evaluation)
 
 
 def rc_sweep_ablation(
@@ -100,29 +120,11 @@ def rc_sweep_ablation(
     backend: str = "auto",
 ) -> list[AblationRow]:
     """Accuracy/time trade-off of the rewiring budget ``RC`` (same walk)."""
-    rng = ensure_rng(seed)
-    cfg = evaluation or EvaluationConfig()
-    graph = load_dataset(dataset, scale=scale)
-    truth = compute_properties(graph, cfg)
-    walk = _walk_for(graph, fraction, rng)
-
-    rows: list[AblationRow] = []
-    for rc in rc_values:
-        result = restore_from_walk(
-            walk, rc=rc, rng=ensure_rng(seed + 1), backend=backend
-        )
-        d = l1_distances(truth, compute_properties(result.graph, cfg))
-        rows.append(
-            AblationRow(
-                variant=f"RC={rc:g}",
-                average_l1=_avg(d),
-                clustering_l1=d["degree_clustering"],
-                rewiring_seconds=result.rewiring_seconds,
-                rewiring_accepted=result.rewiring.accepted,
-                final_distance=result.rewiring.final_distance,
-            )
-        )
-    return rows
+    variants = [
+        (f"RC={rc:g}", functools.partial(restore_from_walk, rc=rc, backend=backend))
+        for rc in rc_values
+    ]
+    return _ablate(variants, dataset, fraction, scale, seed, evaluation)
 
 
 def subgraph_use_ablation(
@@ -135,27 +137,11 @@ def subgraph_use_ablation(
     backend: str = "auto",
 ) -> list[AblationRow]:
     """Proposed (subgraph-aware) vs. Gjoka (estimates only), same walk."""
-    rng = ensure_rng(seed)
-    cfg = evaluation or EvaluationConfig()
-    graph = load_dataset(dataset, scale=scale)
-    truth = compute_properties(graph, cfg)
-    walk = _walk_for(graph, fraction, rng)
-
-    rows: list[AblationRow] = []
-    for variant, fn in (("proposed", restore_from_walk), ("gjoka", gjoka_generate)):
-        result = fn(walk, rc=rc, rng=ensure_rng(seed + 1), backend=backend)
-        d = l1_distances(truth, compute_properties(result.graph, cfg))
-        rows.append(
-            AblationRow(
-                variant=variant,
-                average_l1=_avg(d),
-                clustering_l1=d["degree_clustering"],
-                rewiring_seconds=result.rewiring_seconds,
-                rewiring_accepted=result.rewiring.accepted,
-                final_distance=result.rewiring.final_distance,
-            )
-        )
-    return rows
+    variants = [
+        (variant, functools.partial(fn, rc=rc, backend=backend))
+        for variant, fn in (("proposed", restore_from_walk), ("gjoka", gjoka_generate))
+    ]
+    return _ablate(variants, dataset, fraction, scale, seed, evaluation)
 
 
 def format_ablation(rows: list[AblationRow], title: str) -> str:

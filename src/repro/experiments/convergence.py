@@ -19,7 +19,7 @@ from repro.estimators.local import (
 from repro.graph.datasets import load_dataset
 from repro.graph.multigraph import MultiGraph
 from repro.metrics.distance import normalized_l1, relative_error
-from repro.sampling.access import GraphAccess
+from repro.sampling.access import GraphAccess, crawl_budget
 from repro.sampling.walkers import random_walk
 from repro.utils.rng import ensure_rng
 from repro.utils.stats import mean
@@ -56,7 +56,7 @@ def estimator_convergence(
     rng = ensure_rng(seed)
     points: list[ConvergencePoint] = []
     for fraction in fractions:
-        target = max(3, int(round(fraction * graph.num_nodes)))
+        target = crawl_budget(fraction, graph.num_nodes)
         run_errors: dict[str, list[float]] = {c: [] for c in ESTIMATOR_COLUMNS}
         lengths: list[float] = []
         for _ in range(runs):

@@ -5,10 +5,12 @@ tab-separated block (and trivially plottable by downstream users);
 Figure 4 writes one SVG per method plus the original, using the shared
 force layout.
 
-Figure 3's (dataset × fraction) grid is flattened into one cell list and
-routed through the :class:`~repro.api.RunContext`'s executor, so
-``RunContext(jobs=N)`` runs the whole sweep concurrently while the series
-are reassembled in deterministic order.
+Figure 3 is a sweep: its (dataset × fraction) grid is a
+:class:`~repro.experiments.sweeps.SweepGrid` that
+:func:`~repro.experiments.sweeps.run_sweep` executes on the
+:class:`~repro.api.RunContext`'s executor, so ``RunContext(jobs=N)`` runs
+the whole sweep concurrently while the series are reassembled in
+deterministic order.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from repro.experiments.methods import (
     METHOD_NAMES,
     run_methods_once,
 )
-from repro.experiments.runner import ExperimentConfig
+from repro.experiments.sweeps import SweepGrid, run_sweep
 from repro.graph.datasets import FIGURE3_DATASETS, load_dataset
 from repro.metrics.suite import EvaluationConfig
 from repro.utils.rng import ensure_rng
@@ -56,34 +58,23 @@ def figure3_series(
     context: "RunContext | None" = None,
 ) -> dict[str, dict[str, list[float]]]:
     """``{dataset: {method: [avg L1 per fraction]}}`` over the sweep."""
-    from repro.api.context import RunContext
-    from repro.api.run import map_cells
-
     s = settings or Figure3Settings()
-    if context is None:
-        context = RunContext(seed=s.seed)
-
-    grid = [(d, f) for d in datasets for f in s.fractions]
-    cells = context.materialize(
-        ExperimentConfig(
-            dataset=dataset,
-            fraction=fraction,
-            runs=s.runs,
-            methods=s.methods,
-            rc=s.rc,
-            scale=s.scale,
-            seed=s.seed,
-            evaluation=s.evaluation,
-        )
-        for dataset, fraction in grid
+    grid = SweepGrid(
+        datasets=datasets,
+        fractions=s.fractions,
+        rcs=(s.rc,),
+        runs=s.runs,
+        methods=s.methods,
+        scale=s.scale,
+        seed=s.seed,
+        evaluation=s.evaluation,
     )
-
     out: dict[str, dict[str, list[float]]] = {
         d: {m: [] for m in s.methods} for d in datasets
     }
-    for (dataset, _), aggregates in zip(grid, map_cells(cells, context), strict=True):
+    for cell in run_sweep(grid, context=context):
         for m in s.methods:
-            out[dataset][m].append(aggregates[m].average_l1)
+            out[cell.config.dataset][m].append(cell.aggregates[m].average_l1)
     return out
 
 

@@ -17,7 +17,7 @@ from repro.errors import ExperimentError
 from repro.graph.multigraph import MultiGraph, Node
 from repro.restore.gjoka import gjoka_generate
 from repro.restore.restorer import restore_from_walk
-from repro.sampling.access import GraphAccess
+from repro.sampling.access import GraphAccess, crawl_budget
 from repro.sampling.crawlers import (
     bfs_crawl,
     forest_fire_crawl,
@@ -109,7 +109,7 @@ def run_methods_once(
     if not 0.0 < fraction <= 1.0:
         raise ExperimentError(f"fraction must be in (0, 1], got {fraction}")
     r = ensure_rng(rng)
-    target = max(3, int(round(fraction * original.num_nodes)))
+    target = crawl_budget(fraction, original.num_nodes)
     seed = GraphAccess(original).random_seed(r)
 
     faulty = fault_policy is not None and not fault_policy.is_null

@@ -1,9 +1,10 @@
 """Grid sweeps: run experiment cells over a parameter grid and persist.
 
 The table/figure modules cover the paper's fixed protocols; this module is
-the general tool behind them — a cartesian sweep over datasets, crawl
-fractions, and rewiring budgets, with results streamed into the CSV/
-Markdown writers so long runs survive interruption.
+the tool behind them — a cartesian sweep over datasets, crawl fractions,
+rewiring budgets and crawl regimes, with results streamed into the CSV/
+Markdown writers so long runs survive interruption.  Tables II–V and
+Figure 3 each build a :class:`SweepGrid` and call :func:`run_sweep`.
 
 Execution goes through the :mod:`repro.api` layer: :func:`run_sweep`
 materializes every cell with its spawned seed, then hands the list to the

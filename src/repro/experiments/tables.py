@@ -5,9 +5,11 @@ structured rows; each ``format_tableN`` renders them in the paper's layout
 (datasets x methods, lowest value per column implicitly comparable).  The
 CLI and the benchmark harness print these verbatim.
 
-Execution routes through :mod:`repro.api`: every dataset is one cell, the
-cell list goes to the context's executor (``RunContext(jobs=N)`` runs the
-datasets of a table concurrently), and rows come back in dataset order.
+Every table is a sweep: its datasets at one crawl fraction and one
+rewiring budget form a :class:`~repro.experiments.sweeps.SweepGrid` that
+:func:`~repro.experiments.sweeps.run_sweep` executes on the context's
+executor (``RunContext(jobs=N)`` runs the datasets of a table
+concurrently), and rows come back in dataset order.
 """
 
 from __future__ import annotations
@@ -16,10 +18,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.experiments.methods import METHOD_LABELS, METHOD_NAMES
-from repro.experiments.runner import (
-    ExperimentConfig,
-    MethodAggregate,
-)
+from repro.experiments.runner import MethodAggregate
+from repro.experiments.sweeps import SweepGrid, run_sweep
 from repro.graph.datasets import TABLE2_DATASETS, TABLE34_DATASETS, YOUTUBE_DATASET
 from repro.metrics.suite import PROPERTY_LABELS, PROPERTY_NAMES, EvaluationConfig
 
@@ -48,41 +48,26 @@ class TableSettings:
     methods: tuple[str, ...] = METHOD_NAMES
 
 
-def _cell(dataset: str, settings: TableSettings, fraction: float | None = None):
-    return ExperimentConfig(
-        dataset=dataset,
-        fraction=settings.fraction if fraction is None else fraction,
+def _run_cells(
+    datasets: tuple[str, ...],
+    settings: TableSettings,
+    context: "RunContext | None",
+    fraction: float | None = None,
+) -> dict[str, dict[str, MethodAggregate]]:
+    """One sweep cell per dataset; without a ``context``, a serial one
+    seeded from the settings."""
+    grid = SweepGrid(
+        datasets=datasets,
+        fractions=(settings.fraction if fraction is None else fraction,),
+        rcs=(settings.rc,),
         runs=settings.runs,
         methods=settings.methods,
-        rc=settings.rc,
         scale=settings.scale,
         seed=settings.seed,
         evaluation=settings.evaluation,
     )
-
-
-def _context_for(settings: TableSettings, context: "RunContext | None") -> "RunContext":
-    """The execution context: explicit, or seeded from the settings."""
-    from repro.api.context import RunContext
-
-    if context is not None:
-        return context
-    return RunContext(seed=settings.seed)
-
-
-def _run_cells(
-    datasets: tuple[str, ...],
-    settings: TableSettings,
-    context: "RunContext",
-    fraction: float | None = None,
-) -> dict[str, dict[str, MethodAggregate]]:
-    """One cell per dataset, through the context's executor, in order."""
-    from repro.api.run import map_cells
-
-    cells = context.materialize(
-        _cell(d, settings, fraction=fraction) for d in datasets
-    )
-    return dict(zip(datasets, map_cells(cells, context), strict=True))
+    results = run_sweep(grid, context=context)
+    return {cell.config.dataset: cell.aggregates for cell in results}
 
 
 # ----------------------------------------------------------------------
@@ -95,7 +80,7 @@ def table2_rows(
 ) -> dict[str, dict[str, MethodAggregate]]:
     """``{dataset: {method: aggregate}}`` for the Table II datasets."""
     s = settings or TableSettings()
-    return _run_cells(datasets, s, _context_for(s, context))
+    return _run_cells(datasets, s, context)
 
 
 def format_table2(results: dict[str, dict[str, MethodAggregate]]) -> str:
@@ -119,7 +104,7 @@ def table3_rows(
 ) -> dict[str, dict[str, MethodAggregate]]:
     """``{dataset: {method: aggregate}}`` for the Table III datasets."""
     s = settings or TableSettings()
-    return _run_cells(datasets, s, _context_for(s, context))
+    return _run_cells(datasets, s, context)
 
 
 def format_table3(results: dict[str, dict[str, MethodAggregate]]) -> str:
@@ -183,8 +168,7 @@ def table5_rows(
     Benches pass a scale-compensated fraction and record it.
     """
     s = settings or TableSettings(runs=2)
-    ctx = _context_for(s, context)
-    return _run_cells((YOUTUBE_DATASET,), s, ctx, fraction=fraction)[YOUTUBE_DATASET]
+    return _run_cells((YOUTUBE_DATASET,), s, context, fraction=fraction)[YOUTUBE_DATASET]
 
 
 def format_table5(results: dict[str, MethodAggregate]) -> str:

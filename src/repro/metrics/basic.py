@@ -24,11 +24,11 @@ def degree_vector(graph: MultiGraph, backend: str = "python") -> dict[int, int]:
     reference loop; ``"csr"`` / ``"auto"`` run
     :func:`repro.engine.kernels.degree_vector` on a frozen snapshot).
     """
-    if backend != "python":
-        from repro.engine import dispatch, kernels
+    from repro.engine import dispatch, kernels
 
-        if dispatch.resolve_backend(backend) == "csr":
-            return kernels.degree_vector(dispatch.ensure_csr(graph))
+    csr = dispatch.snapshot_for(graph, backend)
+    if csr is not None:
+        return kernels.degree_vector(csr)
     hist = graph.degree_histogram()
     return {k: c for k, c in hist.items() if k >= 1}
 
@@ -52,11 +52,11 @@ def joint_degree_matrix(
     and ``(k', k)`` with equal values so lookups need no canonicalization.
     Loops at a degree-``k`` node count toward ``m(k, k)`` (one per loop).
     """
-    if backend != "python":
-        from repro.engine import dispatch, kernels
+    from repro.engine import dispatch, kernels
 
-        if dispatch.resolve_backend(backend) == "csr":
-            return kernels.joint_degree_matrix(dispatch.ensure_csr(graph))
+    csr = dispatch.snapshot_for(graph, backend)
+    if csr is not None:
+        return kernels.joint_degree_matrix(csr)
     degrees = graph.degrees()
     m: dict[DegreePair, int] = {}
     for u, v in graph.edges():
@@ -98,11 +98,11 @@ def neighbor_connectivity(
     :func:`repro.engine.kernels.neighbor_connectivity` on a frozen
     snapshot).
     """
-    if backend != "python":
-        from repro.engine import dispatch, kernels
+    from repro.engine import dispatch, kernels
 
-        if dispatch.resolve_backend(backend) == "csr":
-            return kernels.neighbor_connectivity(dispatch.ensure_csr(graph))
+    csr = dispatch.snapshot_for(graph, backend)
+    if csr is not None:
+        return kernels.neighbor_connectivity(csr)
     degrees = graph.degrees()
     sums: Counter[int] = Counter()
     counts: Counter[int] = Counter()

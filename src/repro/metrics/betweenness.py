@@ -60,16 +60,16 @@ def betweenness_centrality(
         (batched frontier kernel).  Scores are bit-identical across
         backends for a fixed seed.
     """
-    from repro.engine.dispatch import resolve_backend
+    from repro.engine import dispatch
 
-    if resolve_backend(backend) == "csr":
+    snapshot = dispatch.snapshot_for(graph, backend)
+    if snapshot is not None:
         from repro.engine import bfs_kernels
-        from repro.engine.dispatch import ensure_csr
 
         # vectorized prologue: the component snapshot's slot segments are
         # exactly the reference's positional adjacency (simple component,
         # one slot per distinct neighbor, in the same insertion order)
-        csr = bfs_kernels.simplified_lcc_snapshot(ensure_csr(graph))
+        csr = bfs_kernels.simplified_lcc_snapshot(snapshot)
         nodes = list(csr.node_list)
         n = len(nodes)
         if n <= 2:

@@ -23,11 +23,11 @@ def triangles_per_node(
     ``backend`` selects the compute path (``"csr"`` / ``"auto"`` run
     :func:`repro.engine.kernels.triangles_per_node` on a frozen snapshot).
     """
-    if backend != "python":
-        from repro.engine import dispatch, kernels
+    from repro.engine import dispatch, kernels
 
-        if dispatch.resolve_backend(backend) == "csr":
-            return kernels.triangles_per_node(dispatch.ensure_csr(graph))
+    csr = dispatch.snapshot_for(graph, backend)
+    if csr is not None:
+        return kernels.triangles_per_node(csr)
     if graph.num_nodes == 0:
         return {}
     nodes, index = node_ordering(graph)
@@ -44,11 +44,11 @@ def network_clustering(graph: MultiGraph, backend: str = "python") -> float:
     Nodes of degree < 2 contribute 0 (their local coefficient is undefined
     and conventionally zero).
     """
-    if backend != "python":
-        from repro.engine import dispatch, kernels
+    from repro.engine import dispatch, kernels
 
-        if dispatch.resolve_backend(backend) == "csr":
-            return kernels.network_clustering(dispatch.ensure_csr(graph))
+    csr = dispatch.snapshot_for(graph, backend)
+    if csr is not None:
+        return kernels.network_clustering(csr)
     n = graph.num_nodes
     if n == 0:
         return 0.0
@@ -65,11 +65,11 @@ def degree_dependent_clustering(
     graph: MultiGraph, backend: str = "python"
 ) -> dict[int, float]:
     """``{c̄(k)}``: mean local clustering of degree-``k`` nodes, ``c̄(1) = 0``."""
-    if backend != "python":
-        from repro.engine import dispatch, kernels
+    from repro.engine import dispatch, kernels
 
-        if dispatch.resolve_backend(backend) == "csr":
-            return kernels.degree_dependent_clustering(dispatch.ensure_csr(graph))
+    csr = dispatch.snapshot_for(graph, backend)
+    if csr is not None:
+        return kernels.degree_dependent_clustering(csr)
     if graph.num_nodes == 0:
         return {}
     tri = triangles_per_node(graph)
@@ -98,11 +98,11 @@ def shared_partner_distribution(
     :func:`repro.engine.kernels.shared_partner_distribution` on a frozen
     snapshot).
     """
-    if backend != "python":
-        from repro.engine import dispatch, kernels
+    from repro.engine import dispatch, kernels
 
-        if dispatch.resolve_backend(backend) == "csr":
-            return kernels.shared_partner_distribution(dispatch.ensure_csr(graph))
+    csr = dispatch.snapshot_for(graph, backend)
+    if csr is not None:
+        return kernels.shared_partner_distribution(csr)
     m = graph.num_edges
     if m == 0:
         return {}

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.sparse import csgraph
@@ -44,6 +45,9 @@ from repro.graph.multigraph import MultiGraph
 from repro.graph.simplify import simplified
 from repro.metrics.matrix import node_ordering, to_csr
 from repro.utils.rng import ensure_rng
+
+if TYPE_CHECKING:
+    from repro.engine.csr import CSRGraph
 
 
 @dataclass(frozen=True)
@@ -84,10 +88,11 @@ def shortest_path_stats(
     ShortestPathStats
         Identical — bit for bit — across backends for a fixed seed.
     """
-    from repro.engine.dispatch import resolve_backend
+    from repro.engine import dispatch
 
-    if resolve_backend(backend) == "csr":
-        return _csr_stats(graph, num_sources, rng)
+    csr = dispatch.snapshot_for(graph, backend)
+    if csr is not None:
+        return _csr_stats(csr, num_sources, rng)
 
     lcc = largest_connected_component(simplified(graph))
     n = lcc.num_nodes
@@ -144,7 +149,7 @@ def _select_sources(
 
 
 def _csr_stats(
-    graph: MultiGraph,
+    snapshot: CSRGraph,
     num_sources: int | None,
     rng: random.Random | int | None,
 ) -> ShortestPathStats:
@@ -156,9 +161,8 @@ def _csr_stats(
     whole property suite.
     """
     from repro.engine import bfs_kernels
-    from repro.engine.dispatch import ensure_csr
 
-    csr = bfs_kernels.simplified_lcc_snapshot(ensure_csr(graph))
+    csr = bfs_kernels.simplified_lcc_snapshot(snapshot)
     n = csr.num_nodes
     if n <= 1:
         return ShortestPathStats(0.0, {}, 0, True, n)
@@ -189,12 +193,13 @@ def eccentricity_lower_bound(
     (BFS restarts stay inside the start node's component, so a smaller
     far-flung component can never inflate the bound).
     """
-    from repro.engine.dispatch import ensure_csr, resolve_backend
+    from repro.engine import dispatch
 
-    if resolve_backend(backend) == "csr":
+    snapshot = dispatch.snapshot_for(graph, backend)
+    if snapshot is not None:
         from repro.engine import bfs_kernels
 
-        csr = bfs_kernels.simplified_lcc_snapshot(ensure_csr(graph))
+        csr = bfs_kernels.simplified_lcc_snapshot(snapshot)
         if csr.num_nodes <= 1:
             return 0
         r = ensure_rng(rng)

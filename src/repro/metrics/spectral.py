@@ -37,18 +37,13 @@ def largest_eigenvalue(
         itself is shared (:func:`matrix_largest_eigenvalue`), so both
         backends run the same arithmetic on the same matrix.
     """
-    if backend != "python":
-        from repro.engine import dispatch
+    from repro.engine import dispatch
 
-        if dispatch.resolve_backend(backend) == "csr":
-            csr = dispatch.ensure_csr(graph)
-            if csr.num_nodes == 0 or csr.num_edges == 0:
-                return 0.0
-            return matrix_largest_eigenvalue(csr.adjacency_matrix(), tol=tol)
-    n = graph.num_nodes
-    if n == 0 or graph.num_edges == 0:
+    csr = dispatch.snapshot_for(graph, backend)
+    if graph.num_nodes == 0 or graph.num_edges == 0:
         return 0.0
-    return matrix_largest_eigenvalue(to_csr(graph), tol=tol)
+    matrix = to_csr(graph) if csr is None else csr.adjacency_matrix()
+    return matrix_largest_eigenvalue(matrix, tol=tol)
 
 
 def matrix_largest_eigenvalue(a, tol: float = 1e-8) -> float:

@@ -9,7 +9,9 @@ and the rewiring share, so the pipeline tracks them natively.
 ``restore_from_walk`` skips the crawl for callers that already hold a
 sampling list (the experiment harness reuses one walk across the proposed
 method, the Gjoka baseline, and RW subgraph sampling, exactly as the paper
-prescribes for a fair comparison).
+prescribes for a fair comparison).  ``restore_dataset`` is the crawl of a
+fraction of a dataset's nodes, ideal or faulty, that ``repro restore`` and
+the service's ``restore`` op both run.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ from repro.restore.target_degree_vector import (
     build_target_degree_vector,
 )
 from repro.restore.target_jdm import build_target_jdm
-from repro.sampling.access import GraphAccess
+from repro.sampling.access import GraphAccess, crawl_budget
+from repro.sampling.faults import FaultPolicy, FaultyAccess, spawn_fault_seed
 from repro.sampling.subgraph import SampledSubgraph, build_subgraph
 from repro.sampling.walkers import SamplingList, random_walk
 from repro.utils.rng import ensure_rng
@@ -229,3 +232,33 @@ def restore_graph(
         max_rewiring_attempts=max_rewiring_attempts,
         backend=backend,
     )
+
+
+def restore_dataset(
+    graph: MultiGraph,
+    fraction: float,
+    rc: float,
+    seed: int,
+    backend: str = "auto",
+    fault_policy: FaultPolicy | None = None,
+) -> RestorationResult:
+    """Crawl ``fraction`` of ``graph``'s nodes with a random walk, then restore.
+
+    ``graph`` may be the dataset or its frozen (shared-memory) snapshot:
+    the crawl reads either the same way.  ``seed`` drives the walk and
+    every phase.  Under a ``fault_policy`` the crawl goes through a
+    :class:`~repro.sampling.faults.FaultyAccess` whose API-call budget is
+    the crawl budget and whose fault stream is a dedicated child of
+    ``seed``, as in the experiment harness, so one ``(seed, policy)``
+    always replays the same degraded crawl.
+    """
+    target = crawl_budget(fraction, graph.num_nodes)
+    if fault_policy is None:
+        access = GraphAccess(graph)
+    else:
+        access = FaultyAccess(
+            graph, fault_policy, fault_seed=spawn_fault_seed(seed), budget=target
+        )
+    # restore_graph is looked up in this module at call time, so a wrapper
+    # installed on it sees these calls too
+    return restore_graph(access, target, rc=rc, rng=seed, backend=backend)

@@ -22,6 +22,15 @@ from repro.graph.multigraph import MultiGraph, Node
 from repro.utils.rng import ensure_rng
 
 
+def crawl_budget(fraction: float, num_nodes: int) -> int:
+    """Distinct nodes a crawl of ``fraction`` of ``num_nodes`` queries.
+
+    The paper's "x% queried" stopping rule: ``fraction * num_nodes``
+    rounded, and never fewer than 3.
+    """
+    return max(3, int(round(fraction * num_nodes)))
+
+
 class GraphAccess:
     """Neighbor-query facade over a hidden graph, with query accounting.
 

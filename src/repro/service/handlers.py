@@ -11,8 +11,8 @@ uses).
 
 Everything here is module-level so the server can ship work into a
 ``concurrent.futures.ProcessPoolExecutor`` unchanged; the handlers reuse
-the engine exactly as the harness does — ``run_experiment`` for
-``evaluate``, :func:`~repro.restore.restorer.restore_graph` for
+the engine exactly as the harness and the CLI do — ``run_experiment``
+for ``evaluate``, :func:`~repro.restore.restorer.restore_dataset` for
 ``restore`` — so a service response is the same object a direct library
 call produces (the bench asserts bit-identity on the deterministic
 fields).
@@ -110,42 +110,28 @@ def _handle_evaluate(params: dict) -> dict:
 
 
 def _handle_restore(params: dict) -> dict:
-    """One crawl-and-restore: the proposed method end to end.
+    """One crawl-and-restore: the proposed method end to end, the same
+    :func:`~repro.restore.restorer.restore_dataset` call ``repro restore``
+    makes.
 
     The crawl runs on the published shared-memory snapshot when the
-    server shipped one for this (dataset, scale) — ``restore_graph``
-    sees the graph only through the ``GraphAccess`` neighbor-query
-    surface, which the snapshot serves bit-identically.
+    server shipped one for this (dataset, scale); the crawl reads the
+    graph only through the ``GraphAccess`` neighbor-query surface, which
+    the snapshot serves bit-identically.
     """
     from repro.graph.datasets import load_dataset
-    from repro.restore.restorer import restore_graph
-    from repro.sampling.access import GraphAccess
+    from repro.restore.restorer import restore_dataset
 
     graph = shared_dataset_graph(params["dataset"], params["scale"])
     if graph is None:
         graph = load_dataset(params["dataset"], scale=params["scale"])
-    target = max(3, int(round(params["fraction"] * graph.num_nodes)))
-    policy = _fault_policy(params)
-    if policy is None:
-        access = GraphAccess(graph)
-    else:
-        from repro.sampling.faults import FaultyAccess, spawn_fault_seed
-
-        # same derivation as the harness: the fault stream is a dedicated
-        # child of the request seed, so identical requests replay
-        # identical degraded crawls (shared snapshot or not)
-        access = FaultyAccess(
-            graph,
-            policy,
-            fault_seed=spawn_fault_seed(params["seed"]),
-            budget=target,
-        )
-    result = restore_graph(
-        access,
-        target,
-        rc=params["rc"],
-        rng=params["seed"],
-        backend=params["backend"],
+    result = restore_dataset(
+        graph,
+        params["fraction"],
+        params["rc"],
+        params["seed"],
+        params["backend"],
+        _fault_policy(params),
     )
     return {
         "op": "restore",

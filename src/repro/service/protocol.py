@@ -145,7 +145,10 @@ _REQUIRED = object()
 
 # Per-op parameter specs: name -> default (or _REQUIRED).  The evaluate
 # defaults mirror ExperimentConfig / EvaluationConfig so an omitted
-# parameter means exactly what the library default means.
+# parameter means exactly what the library default means, with one
+# exception: ``runs`` is 3 here and 10 in ExperimentConfig.  Changing it
+# would change what every request without ``runs`` computes, and its
+# content address.
 PARAM_SPECS: dict[str, dict[str, object]] = {
     "ping": {},
     "stats": {},

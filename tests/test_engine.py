@@ -17,6 +17,7 @@ from repro.errors import EngineError, GraphError, SamplingError
 from repro.graph.generators import complete_graph
 from repro.graph.multigraph import MultiGraph
 from repro.metrics import basic, clustering
+from repro.metrics.spectral import largest_eigenvalue
 from repro.sampling.access import GraphAccess
 from repro.sampling.walkers import random_walk
 
@@ -112,16 +113,6 @@ def test_resolve_backend_auto_threshold():
     assert resolve_backend("csr", size=1) == "csr"
 
 
-def test_resolve_backend_env_override(monkeypatch):
-    monkeypatch.setenv("REPRO_BACKEND", "csr")
-    assert resolve_backend("auto", size=1) == "csr"
-    monkeypatch.setenv("REPRO_BACKEND", "python")
-    assert resolve_backend("auto", size=10**9) == "python"
-    monkeypatch.setenv("REPRO_BACKEND", "bogus")
-    with pytest.raises(EngineError):
-        resolve_backend("auto", size=1)
-
-
 def test_resolve_backend_rejects_unknown():
     with pytest.raises(EngineError):
         resolve_backend("gpu")
@@ -144,7 +135,7 @@ def test_resolve_backend_per_kernel_thresholds():
     )
 
 
-def test_rewiring_engine_backend_resolution(social_graph, monkeypatch):
+def test_rewiring_engine_backend_resolution(social_graph):
     # auto keys the rewiring core on the run's attempt budget
     # (rc x |candidates|, capped by max_attempts), not on the edge count
     from repro.dk.rewiring import RewiringEngine
@@ -171,13 +162,9 @@ def test_rewiring_engine_backend_resolution(social_graph, monkeypatch):
     # protecting half the edges halves the candidates and so the budget
     canon = sorted({(min(u, v), max(u, v)) for u, v in social_graph.edges()})
     assert resolved(protected_edges=set(canon[: m // 2]), rc=large_rc) == "python"
-    # an explicit backend and REPRO_BACKEND still win over the budget
+    # an explicit backend still wins over the budget
     assert resolved("csr", rc=1) == "csr"
     assert resolved("python", rc=large_rc) == "python"
-    monkeypatch.setenv("REPRO_BACKEND", "csr")
-    assert resolved(rc=1) == "csr"
-    monkeypatch.setenv("REPRO_BACKEND", "python")
-    assert resolved(rc=large_rc) == "python"
 
 
 def test_rewiring_core_resolved_once(social_graph, monkeypatch):
@@ -238,6 +225,45 @@ def test_dispatch_accepts_frozen_input(social_graph):
     assert basic.joint_degree_matrix(csr, backend="auto") == basic.joint_degree_matrix(
         social_graph
     )
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [
+        basic.degree_vector,
+        basic.joint_degree_matrix,
+        basic.neighbor_connectivity,
+        clustering.triangles_per_node,
+        clustering.network_clustering,
+        clustering.degree_dependent_clustering,
+        clustering.shared_partner_distribution,
+        largest_eigenvalue,
+    ],
+    ids=lambda fn: fn.__name__,
+)
+def test_python_backend_rejects_a_snapshot(fn, social_graph):
+    # the reference bodies read a MultiGraph only; a snapshot sent there
+    # fails naming the backend, not deep inside the body
+    with pytest.raises(EngineError, match="'python'"):
+        fn(freeze(social_graph), backend="python")
+
+
+@pytest.mark.parametrize("backend, decisions", [("python", 0), ("auto", 8)])
+def test_one_decision_per_switched_property(backend, decisions, monkeypatch):
+    # an explicit python makes no decision; any other backend makes one
+    # per property that switches (8 of the 12; n and kbar are graph reads)
+    import repro.engine.dispatch as dispatch
+    from repro.metrics.suite import EvaluationConfig, compute_properties
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return resolve_backend(*args, **kwargs)
+
+    monkeypatch.setattr(dispatch, "resolve_backend", counted)
+    compute_properties(complete_graph(5), EvaluationConfig(backend=backend))
+    assert len(calls) == decisions
 
 
 def test_metrics_backend_param_delegates(social_graph):
@@ -336,7 +362,6 @@ def test_auto_backend_picks_csr_for_large_graphs(monkeypatch):
     from repro.engine import AUTO_KERNEL_THRESHOLDS
     from repro.metrics.betweenness import betweenness_centrality
     from repro.metrics.paths import eccentricity_lower_bound, shortest_path_stats
-    from repro.metrics.spectral import largest_eigenvalue
 
     decisions = []
 
@@ -345,7 +370,6 @@ def test_auto_backend_picks_csr_for_large_graphs(monkeypatch):
         decisions.append((kwargs.get("kernel"), choice))
         return choice
 
-    monkeypatch.delenv("REPRO_BACKEND", raising=False)
     monkeypatch.setattr(dispatch, "resolve_backend", recorded)
     kernels_under_test = (
         basic.degree_vector,
@@ -366,13 +390,7 @@ def test_auto_backend_picks_csr_for_large_graphs(monkeypatch):
     for fn in kernels_under_test:
         fn(g, backend="auto")
     assert decisions == [(None, "csr")] * len(kernels_under_test)
-    # the three table entries still compare their size ...
+    # the table's entry still compares its size
     for kernel, threshold in AUTO_KERNEL_THRESHOLDS.items():
         assert resolve_backend("auto", size=1, kernel=kernel) == "python"
         assert resolve_backend("auto", size=threshold, kernel=kernel) == "csr"
-    # ... and REPRO_BACKEND still wins over auto
-    monkeypatch.setenv("REPRO_BACKEND", "python")
-    decisions.clear()
-    basic.degree_vector(g, backend="auto")
-    shortest_path_stats(g, backend="auto")
-    assert decisions == [(None, "python")] * 2

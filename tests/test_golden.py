@@ -174,8 +174,7 @@ def _digest(case: str, tmp_path: Path, capsys) -> str:
 
 
 @pytest.mark.parametrize("case", CASES)
-def test_golden_digest(case, tmp_path, capsys, monkeypatch, request):
-    monkeypatch.delenv("REPRO_BACKEND", raising=False)
+def test_golden_digest(case, tmp_path, capsys, request):
     regen = request.config.getoption("--regen-golden")
     if regen and not GOLDEN_PATH.exists():
         golden = {}

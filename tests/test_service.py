@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import json
 import math
 import threading
 import time
@@ -12,6 +13,7 @@ import time
 import pytest
 
 from repro import errors
+from repro.cli import main
 from repro.errors import (
     DatasetError,
     ProtocolError,
@@ -20,6 +22,7 @@ from repro.errors import (
     ServiceTimeoutError,
 )
 from repro.experiments.runner import (
+    ExperimentConfig,
     clear_truth_cache,
     run_experiment,
     set_truth_cache_limit,
@@ -43,8 +46,9 @@ from repro.service import (
     request_key,
 )
 from repro.service import handlers as service_handlers
+from repro.metrics.suite import EvaluationConfig
 from repro.service.handlers import evaluate_config
-from repro.service.protocol import OPS
+from repro.service.protocol import OPS, PARAM_SPECS
 
 EVAL_PARAMS = {
     "dataset": "anybeat",
@@ -121,6 +125,40 @@ class TestProtocol:
         assert params["fraction"] == 0.10
         assert params["runs"] == 3
         assert params["backend"] == "auto"
+
+    def test_evaluate_defaults_mirror_the_library(self):
+        """An omitted evaluate parameter means the library default, except
+        ``runs``: 3 here, 10 in ExperimentConfig, kept because changing it
+        would move every request that omits it."""
+        spec = PARAM_SPECS["evaluate"]
+        cell = ExperimentConfig(dataset="anybeat")
+        evaluation = EvaluationConfig()
+        mirrored = {
+            "fraction": cell.fraction,
+            "rc": cell.rc,
+            "scale": cell.scale,
+            "seed": cell.seed,
+            "max_rewiring_attempts": cell.max_rewiring_attempts,
+            "backend": evaluation.backend,
+            "exact_paths": evaluation.exact_paths,
+            "exact_threshold": evaluation.exact_threshold,
+            "path_sources": evaluation.path_sources,
+            "betweenness_pivots": evaluation.betweenness_pivots,
+            "eval_seed": evaluation.seed,
+            "fault_rate": 0,
+            "rate_limit": 0,
+            "truncate_at": 0,
+            "churn": 0,
+        }
+        assert set(spec) == set(mirrored) | {"dataset", "methods", "runs"}
+        assert {name: spec[name] for name in mirrored} == mirrored
+        # None stands for the library's method list; zero knobs, for ideal
+        # crawling
+        assert spec["methods"] is None
+        defaults = evaluate_config(normalize_request("evaluate", {"dataset": "anybeat"}))
+        assert defaults.methods == cell.methods
+        assert defaults.fault_policy is None
+        assert (spec["runs"], cell.runs) == (3, 10)
 
     def test_normalize_rejects_unknown(self):
         with pytest.raises(ProtocolError, match="unknown op"):
@@ -552,6 +590,34 @@ class TestServiceBitIdentity:
         assert canonical_json(result["aggregates"]) == canonical_json(direct)
         # the cached repeat is byte-identical, timings included
         assert canonical_json(repeat) == canonical_json(result)
+
+
+# what a restore summary reports that is a measurement, not a result
+RESTORE_TIMINGS = ("total_seconds", "rewiring_seconds", "phase_seconds")
+
+
+@pytest.mark.parametrize(
+    "faults", [{}, {"fault_rate": 0.1, "churn": 0.05}], ids=["ideal", "faulty"]
+)
+def test_restore_op_matches_cli_restore(faults, tmp_path, capsys):
+    """The service's restore op and ``repro restore --out`` run one
+    restore: their summaries agree on every field but the timings."""
+    params = {"dataset": "anybeat", "scale": 0.1, "fraction": 0.1, "rc": 5, "seed": 3}
+    payload, _ = service_handlers.run_op(
+        "restore", normalize_request("restore", {**params, **faults})
+    )
+    argv = ["restore", "anybeat", "--scale", "0.1", "--fraction", "0.1"]
+    argv += ["--rc", "5", "--seed", "3", "--out", str(tmp_path / "restored")]
+    for name, value in faults.items():
+        argv += [f"--{name.replace('_', '-')}", str(value)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    cli = json.loads((tmp_path / "restored.json").read_text())
+    served = payload["summary"]
+    assert set(served) == set(cli)
+    for name in RESTORE_TIMINGS:
+        del served[name], cli[name]
+    assert served == cli
 
 
 class TestSyncClient:
