@@ -104,6 +104,27 @@ def _reap(*procs: subprocess.Popen) -> None:
         proc.wait(timeout=30)
 
 
+def _finish_within(seconds: float, fn):
+    """Run ``fn()`` on a helper thread; fail (instead of hanging the
+    suite) if it has not returned within ``seconds``.  Returns ``fn``'s
+    result or re-raises its exception."""
+    outcome: dict[str, object] = {}
+
+    def _target() -> None:
+        try:
+            outcome["value"] = fn()
+        except BaseException as exc:  # handed back to the test thread
+            outcome["error"] = exc
+
+    runner = threading.Thread(target=_target, daemon=True)
+    runner.start()
+    runner.join(timeout=seconds)
+    assert not runner.is_alive(), f"still running after {seconds:.0f}s"
+    if "error" in outcome:
+        raise outcome["error"]  # type: ignore[misc]
+    return outcome["value"]
+
+
 def _double(x: int) -> int:
     """Module-level dispatch target (pickled to worker agents)."""
     return 2 * x
@@ -297,6 +318,41 @@ class TestWire:
         buffer.extend(raw[cut:])
         assert decode_frames(buffer) == [{"kind": "pong"}]
         assert not buffer
+
+    def test_recv_frame_reassembles_split_writes_and_rejects_truncation(self):
+        a, b = socket.socketpair()
+        try:
+            send_frame(a, {"kind": "task", "seq": 3, "item": list(range(50))})
+            raw = b.recv(1 << 16)
+        finally:
+            a.close()
+            b.close()
+        # one frame arriving in two writes, split inside the header and
+        # inside the payload
+        for cut in (2, len(raw) // 2):
+            a, b = socket.socketpair()
+            try:
+                a.sendall(raw[:cut])
+                late = threading.Timer(0.05, a.sendall, args=(raw[cut:],))
+                late.start()
+                assert recv_frame(b) == {
+                    "kind": "task", "seq": 3, "item": list(range(50)),
+                }
+                late.join(timeout=10.0)
+            finally:
+                a.close()
+                b.close()
+        # the same frame cut off by EOF, inside the header or the payload
+        for cut in (2, len(raw) - 1):
+            a, b = socket.socketpair()
+            try:
+                a.sendall(raw[:cut])
+                a.shutdown(socket.SHUT_WR)
+                with pytest.raises(DistributedError, match="mid-frame"):
+                    recv_frame(b)
+            finally:
+                a.close()
+                b.close()
 
     def test_repo_fingerprint_is_stable(self):
         assert repo_fingerprint() == repo_fingerprint()
@@ -538,6 +594,65 @@ class TestEndToEnd:
         finally:
             killer.join(timeout=130)
             _reap(victim, survivor)
+
+    def test_losing_every_agent_fails_the_map_without_hanging(self, tmp_path):
+        """SIGKILL both agents while each holds an item: with no survivor
+        to reassign to, the map raises the fatal DistributedError, not
+        the retryable WorkerLostError, and returns instead of hanging."""
+        port = _free_port()
+        marks = [tmp_path / f"agent-{index}-got-a-task" for index in range(2)]
+        agents = [
+            _spawn_worker(port, "--chaos-mark", str(mark), "--chaos-hang-on-task", "1")
+            for mark in marks
+        ]
+
+        def _kill_on_marks() -> None:
+            deadline = time.monotonic() + 120.0
+            while not all(m.exists() for m in marks) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            for agent in agents:
+                os.kill(agent.pid, signal.SIGKILL)
+
+        killer = threading.Thread(target=_kill_on_marks)
+        killer.start()
+        try:
+            executor = Scheduler(
+                SocketTransport([f"127.0.0.1:{port}"] * 2), max_attempts=3
+            )
+            with pytest.raises(DistributedError) as excinfo:
+                _finish_within(120.0, lambda: list(executor.map(_double, range(8))))
+            assert not isinstance(excinfo.value, WorkerLostError)
+            killer.join(timeout=130)
+            assert all(m.exists() for m in marks), "an agent never received a task"
+        finally:
+            killer.join(timeout=130)
+            _reap(*agents)
+
+    @pytest.mark.parametrize("abandon", [False, True], ids=["full", "abandoned"])
+    def test_close_does_not_wait_out_a_heartbeat(self, abandon):
+        """With a 30 s heartbeat, a map over two agents returns within
+        10 s, whether it runs to the end (close) or is abandoned after
+        its first result (abort), and both agents exit 0."""
+        port = _free_port()
+        agents = [_spawn_worker(port), _spawn_worker(port)]
+        try:
+            executor = Scheduler(
+                SocketTransport([f"127.0.0.1:{port}"] * 2, heartbeat=30.0)
+            )
+
+            def _map() -> list[int]:
+                results = executor.map(_double, range(20))
+                if not abandon:
+                    return list(results)
+                first = next(results)
+                results.close()
+                return [first]
+
+            out = _finish_within(10.0, _map)
+            assert out == ([0] if abandon else [2 * x for x in range(20)])
+            assert [agent.wait(timeout=10) for agent in agents] == [0, 0]
+        finally:
+            _reap(*agents)
 
     def test_per_item_timeout_chaos_reassigns(self):
         """An agent that hangs on its first item blows the per-item
