@@ -44,34 +44,46 @@ Frames are pickled, so this transport is for **trusted networks only**
 (the same trust model as ``multiprocessing`` — anyone who can connect
 can execute code).  Bind to loopback or a private interface.
 
+Coordinator threads
+-------------------
+After the handshake the coordinator drives each agent from one thread of
+its own.  The thread takes the next submitted item from a shared queue,
+ships it as a ``task`` frame, blocks on the agent's reply and completes
+the item's :class:`concurrent.futures.Future`; the scheduler waits on
+those futures with :func:`concurrent.futures.wait`.  Whichever agent is
+free takes the next item — the bit-identity contract never depends on
+*where* an item ran.  An agent left idle for one heartbeat interval is
+pinged, and is lost if no ``pong`` arrives within three intervals.
+
 Failure model
 -------------
-A dead worker (connection drop, or heartbeat silence while idle) fails
-its in-flight items with :class:`~repro.errors.WorkerLostError`; the
-scheduler resubmits them in place, so they reassign deterministically to
-the surviving workers without perturbing delivery order.  A per-item
+A dead worker (connection drop, or a missing pong while idle) fails the
+item it holds with :class:`~repro.errors.WorkerLostError`; the scheduler
+resubmits it in place, so a surviving worker runs it without perturbing
+delivery order.  A per-item
 timeout is enforced by the scheduler calling :meth:`SocketTransport.forfeit`,
-which drops the worker holding the overdue item — there is no remote
-cancel, so the stuck agent is abandoned along with its connection.  When
-the last worker is gone, everything outstanding fails with
+which fails the overdue item and drops the worker holding it — there is
+no remote cancel, so the stuck agent is abandoned along with its
+connection, whose socket is shut down to wake the thread blocked on it.
+When the last worker is gone, everything outstanding fails with
 :class:`~repro.errors.DistributedError`, which is *not* retryable — the
 sweep surfaces the failure instead of spinning.
 """
 
 from __future__ import annotations
 
+import concurrent.futures as _futures
 import hashlib
 import pickle
-import selectors
+import queue
 import socket
 import struct
+import threading
 import time
-from collections import deque
 from collections.abc import Callable, Sequence
 from pathlib import Path
 from typing import Any
 
-from repro.api.scheduler import Pending
 from repro.errors import DistributedError, ExperimentError, WorkerLostError
 
 #: Version of the frame protocol; bumped on any incompatible change and
@@ -169,76 +181,9 @@ def recv_frame(conn: socket.socket) -> dict[str, Any] | None:
     return frame
 
 
-def decode_frames(buffer: bytearray) -> list[dict[str, Any]]:
-    """Drain every complete frame from a receive ``buffer`` in place."""
-    frames: list[dict[str, Any]] = []
-    while len(buffer) >= _HEADER.size:
-        (length,) = _HEADER.unpack(buffer[: _HEADER.size])
-        if length > _MAX_FRAME:
-            raise DistributedError(f"frame length {length} exceeds limit")
-        end = _HEADER.size + length
-        if len(buffer) < end:
-            break
-        frame = pickle.loads(bytes(buffer[_HEADER.size : end]))
-        del buffer[:end]
-        if not isinstance(frame, dict) or "kind" not in frame:
-            raise DistributedError("malformed frame: expected a dict with 'kind'")
-        frames.append(frame)
-    return frames
-
-
 # ----------------------------------------------------------------------
 # coordinator side
 # ----------------------------------------------------------------------
-class _RemotePending:
-    """Coordinator-side handle for one submitted item."""
-
-    __slots__ = ("seq", "_done", "_value", "_error")
-
-    def __init__(self, seq: int) -> None:
-        self.seq = seq
-        self._done = False
-        self._value: Any = None
-        self._error: BaseException | None = None
-
-    def done(self) -> bool:
-        return self._done
-
-    def exception(self) -> BaseException | None:
-        return self._error
-
-    def result(self) -> Any:
-        if self._error is not None:
-            raise self._error
-        return self._value
-
-    def _set_result(self, value: Any) -> None:
-        if not self._done:
-            self._done = True
-            self._value = value
-
-    def _set_error(self, error: BaseException) -> None:
-        if not self._done:
-            self._done = True
-            self._error = error
-
-
-class _Agent:
-    """Coordinator-side state for one connected worker."""
-
-    __slots__ = ("conn", "index", "buffer", "assigned", "alive", "last_heard", "last_ping")
-
-    def __init__(self, conn: socket.socket, index: int, now: float) -> None:
-        self.conn = conn
-        self.index = index
-        self.buffer = bytearray()
-        #: tasks shipped to this worker, oldest first
-        self.assigned: deque[tuple[int, _RemotePending]] = deque()
-        self.alive = True
-        self.last_heard = now
-        self.last_ping = now
-
-
 class SocketTransport:
     """Coordinator work-queue over TCP to ``repro worker`` agents.
 
@@ -252,11 +197,11 @@ class SocketTransport:
         Seconds to wait in :meth:`open` for the full membership to
         handshake before raising :class:`~repro.errors.DistributedError`.
     heartbeat:
-        Ping interval in seconds.  An *idle* worker silent for three
-        intervals is declared lost; a busy worker is governed by the
-        scheduler's per-item timeout instead (computation keeps a
-        single-threaded agent from answering pings, so silence while
-        busy is not evidence of death).
+        Ping interval in seconds.  An *idle* worker is pinged once per
+        interval and declared lost if no pong arrives within three
+        intervals; a busy worker is governed by the scheduler's per-item
+        timeout instead (computation keeps a single-threaded agent from
+        answering pings, so silence while busy is not evidence of death).
     """
 
     def __init__(
@@ -270,12 +215,20 @@ class SocketTransport:
         self._addresses = tuple(parse_address(address) for address in workers)
         self._connect_timeout = connect_timeout
         self._heartbeat = heartbeat
-        self._agents: list[_Agent] = []
-        self._backlog: deque[tuple[int, _RemotePending]] = deque()
-        # seq → (pending, item); items kept so a lost worker's tasks can
-        # be reshipped verbatim on retry
-        self._pending_items: dict[int, tuple[_RemotePending, Any]] = {}
-        self._selector: selectors.BaseSelector | None = None
+        # submitted items, oldest first; ``None`` tells one agent thread
+        # to shut its agent down
+        self._queue: queue.SimpleQueue[
+            tuple[int, _futures.Future[Any], Any] | None
+        ] = queue.SimpleQueue()
+        # guards everything below, and the completion of queued futures
+        self._lock = threading.Lock()
+        # future → connection of the agent running it; whoever pops an
+        # entry (its agent thread, forfeit, or a lost agent's cleanup)
+        # completes that future
+        self._running: dict[_futures.Future[Any], socket.socket] = {}
+        self._conns: list[socket.socket] = []
+        self._threads: list[threading.Thread] = []
+        self._live = 0
         self._next_seq = 0
 
     @property
@@ -298,13 +251,23 @@ class SocketTransport:
             raise DistributedError(f"dispatch target is not picklable: {exc}") from exc
         listeners = self._bind_listeners()
         try:
-            self._accept_all(listeners, fn)
+            self._conns = self._accept_all(listeners, fn)
         finally:
             for listener in listeners:
                 listener.close()
-        self._selector = selectors.DefaultSelector()
-        for agent in self._agents:
-            self._selector.register(agent.conn, selectors.EVENT_READ, agent)
+        self._queue = queue.SimpleQueue()
+        self._live = len(self._conns)
+        self._threads = [
+            threading.Thread(
+                target=self._drive,
+                args=(index, conn),
+                name=f"repro-agent-{index}",
+                daemon=True,
+            )
+            for index, conn in enumerate(self._conns)
+        ]
+        for thread in self._threads:
+            thread.start()
 
     def _bind_listeners(self) -> list[socket.socket]:
         listeners: list[socket.socket] = []
@@ -322,29 +285,30 @@ class SocketTransport:
             raise DistributedError(f"cannot bind coordinator listener: {exc}") from exc
         return listeners
 
-    def _accept_all(self, listeners: list[socket.socket], fn: Callable[[Any], Any]) -> None:
+    def _accept_all(
+        self, listeners: list[socket.socket], fn: Callable[[Any], Any]
+    ) -> list[socket.socket]:
         expected = len(self._addresses)
         deadline = time.monotonic() + self._connect_timeout
-        while len(self._agents) < expected:
+        conns: list[socket.socket] = []
+        while len(conns) < expected:
             if time.monotonic() > deadline:
-                connected = len(self._agents)
-                for agent in self._agents:
-                    agent.conn.close()
-                self._agents.clear()
+                for conn in conns:
+                    conn.close()
                 raise DistributedError(
-                    f"only {connected}/{expected} workers connected "
+                    f"only {len(conns)}/{expected} workers connected "
                     f"within {self._connect_timeout:.0f}s"
                 )
             for listener in listeners:
-                if len(self._agents) >= expected:
+                if len(conns) >= expected:
                     break
                 try:
                     conn, _peer = listener.accept()
                 except TimeoutError:
                     continue
-                now = time.monotonic()
                 if self._handshake(conn, fn):
-                    self._agents.append(_Agent(conn, len(self._agents), now))
+                    conns.append(conn)
+        return conns
 
     def _handshake(self, conn: socket.socket, fn: Callable[[Any], Any]) -> bool:
         """Validate one dialing agent; True if it joined the membership."""
@@ -371,193 +335,155 @@ class SocketTransport:
         except (OSError, DistributedError):
             conn.close()
             return False
-        conn.settimeout(max(self._heartbeat * 4, 30.0))
+        # a busy agent may compute for as long as an item takes; only the
+        # scheduler's per-item timeout bounds that wait
+        conn.settimeout(None)
         return True
 
     def close(self) -> None:
-        self._shutdown()
+        """Send every agent thread its shutdown sentinel and join them all."""
+        for _ in self._threads:
+            self._queue.put(None)
+        for thread in self._threads:
+            thread.join()
+        self._threads = []
 
     def abort(self) -> None:
-        self._shutdown()
-
-    def _shutdown(self) -> None:
-        for agent in self._agents:
-            if agent.alive:
-                try:
-                    send_frame(agent.conn, {"kind": "shutdown"})
-                except OSError:
-                    pass
-                agent.conn.close()
-                agent.alive = False
-        if self._selector is not None:
-            self._selector.close()
-            self._selector = None
-        self._agents.clear()
-        self._backlog.clear()
+        with self._lock:
+            for future in self._drain():
+                future.cancel()
+        # wake every thread blocked on its agent, hung ones included; a
+        # thread that took an item before the drain fails to ship it
+        for conn in self._conns:
+            _shut(conn)
+        # the sentinels go in after the drain, which would remove them
+        self.close()
 
     # ------------------------------------------------------------------
     # submission / completion
     # ------------------------------------------------------------------
-    def submit(self, item: Any) -> Pending:
-        pending = _RemotePending(self._next_seq)
-        self._next_seq += 1
-        if not any(agent.alive for agent in self._agents):
-            pending._set_error(
-                DistributedError("no live workers to execute submission")
+    def submit(self, item: Any) -> _futures.Future[Any]:
+        future: _futures.Future[Any] = _futures.Future()
+        with self._lock:
+            seq = self._next_seq
+            self._next_seq += 1
+            if self._live:
+                self._queue.put((seq, future, item))
+                return future
+        future.set_exception(DistributedError("no live workers to execute submission"))
+        return future
+
+    def forfeit(self, future: _futures.Future[Any]) -> None:
+        with self._lock:
+            if future.done():
+                return
+            conn = self._running.pop(future, None)
+            future.set_exception(
+                WorkerLostError(
+                    "submission timed out before assignment"
+                    if conn is None
+                    else "worker lost (per-item timeout)"
+                )
             )
-            return pending
-        self._backlog.append((pending.seq, item))
-        self._pending_items[pending.seq] = (pending, item)
-        self._pump()
-        return pending
-
-    def _pump(self) -> None:
-        """Assign backlog items to idle live workers, in seq order.
-
-        Lowest-index idle worker first — given the same event sequence
-        the assignment is reproducible, and the bit-identity contract
-        never depends on *where* an item ran anyway.
-        """
-        while self._backlog:
-            agent = next(
-                (a for a in self._agents if a.alive and not a.assigned), None
-            )
-            if agent is None:
-                return
-            seq, item = self._backlog[0]
-            pending, _ = self._pending_items[seq]
-            if pending.done():  # forfeited while queued
-                self._backlog.popleft()
-                continue
-            try:
-                send_frame(agent.conn, {"kind": "task", "seq": seq, "item": item})
-            except OSError as exc:
-                self._lose_agent(agent, f"send failed: {exc}")
-                continue
-            self._backlog.popleft()
-            agent.assigned.append((seq, pending))
-
-    def wait(self, pending: Sequence[Pending], timeout: float | None = None) -> None:
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while not any(p.done() for p in pending):
-            if self._selector is None or not any(a.alive for a in self._agents):
-                return
-            now = time.monotonic()
-            self._maintain_heartbeats(now)
-            budget = self._heartbeat / 2
-            if deadline is not None:
-                budget = min(budget, max(deadline - now, 0.0))
-            for key, _events in self._selector.select(budget):
-                agent = key.data
-                assert isinstance(agent, _Agent)
-                self._service(agent)
-            self._pump()
-            if deadline is not None and time.monotonic() >= deadline:
-                return
-
-    def _service(self, agent: _Agent) -> None:
-        """Drain one readable connection and apply its frames."""
-        if not agent.alive:
-            return
-        try:
-            chunk = agent.conn.recv(_RECV_CHUNK)
-        except OSError as exc:
-            self._lose_agent(agent, f"recv failed: {exc}")
-            return
-        if not chunk:
-            self._lose_agent(agent, "connection closed")
-            return
-        agent.buffer.extend(chunk)
-        agent.last_heard = time.monotonic()
-        try:
-            frames = decode_frames(agent.buffer)
-        except DistributedError as exc:
-            self._lose_agent(agent, str(exc))
-            return
-        for frame in frames:
-            kind = frame.get("kind")
-            if kind == "pong":
-                continue
-            if kind in ("result", "error"):
-                self._finish(agent, frame)
-            else:
-                self._lose_agent(agent, f"unexpected frame kind {kind!r}")
-                return
-
-    def _finish(self, agent: _Agent, frame: dict[str, Any]) -> None:
-        seq = frame.get("seq")
-        entry = next((e for e in agent.assigned if e[0] == seq), None)
-        if entry is None:
-            return  # late result for a forfeited seq — already failed
-        agent.assigned.remove(entry)
-        pending = entry[1]
-        self._pending_items.pop(entry[0], None)
-        if frame["kind"] == "result":
-            pending._set_result(frame.get("value"))
-        else:
-            exc = frame.get("exc")
-            if not isinstance(exc, BaseException):
-                exc = DistributedError(f"worker {agent.index} sent malformed error")
-            pending._set_error(exc)
-
-    def forfeit(self, pending: Pending) -> None:
-        if pending.done():
-            return
-        assert isinstance(pending, _RemotePending)
-        holder = next(
-            (
-                agent
-                for agent in self._agents
-                if agent.alive
-                and any(seq == pending.seq for seq, _ in agent.assigned)
-            ),
-            None,
-        )
-        if holder is not None:
+        if conn is not None:
             # no remote cancel exists: abandon the worker with the item
-            self._lose_agent(holder, "per-item timeout")
-        else:
-            self._pending_items.pop(pending.seq, None)
-            pending._set_error(
-                WorkerLostError("submission timed out before assignment")
-            )
+            _shut(conn)
 
-    def _maintain_heartbeats(self, now: float) -> None:
-        for agent in self._agents:
-            if not agent.alive:
-                continue
-            if not agent.assigned and now - agent.last_heard > self._heartbeat * 3:
-                self._lose_agent(agent, "heartbeat silence")
-                continue
-            if now - agent.last_ping >= self._heartbeat:
-                agent.last_ping = now
+    def _drive(self, index: int, conn: socket.socket) -> None:
+        """One agent's coordinator thread: ship, await the reply, complete."""
+        held: _futures.Future[Any] | None = None
+        reason = "shut down"
+        try:
+            while True:
                 try:
-                    send_frame(agent.conn, {"kind": "ping"})
-                except OSError as exc:
-                    self._lose_agent(agent, f"ping failed: {exc}")
+                    entry = self._queue.get(timeout=self._heartbeat)
+                except queue.Empty:
+                    self._ping(conn)
+                    continue
+                if entry is None:
+                    try:
+                        send_frame(conn, {"kind": "shutdown"})
+                    except OSError:
+                        pass  # already gone, or shut down by abort
+                    return
+                seq, future, item = entry
+                with self._lock:
+                    if future.done():
+                        continue  # forfeited while queued
+                    self._running[future] = conn
+                held = future
+                send_frame(conn, {"kind": "task", "seq": seq, "item": item})
+                reply = recv_frame(conn)
+                if reply is None:
+                    raise DistributedError("connection closed")
+                kind = reply["kind"]
+                if kind not in ("result", "error") or reply.get("seq") != seq:
+                    raise DistributedError(f"unexpected {kind!r} frame for task {seq}")
+                with self._lock:
+                    if self._running.pop(future, None) is None:
+                        return  # forfeited meanwhile: this agent is dropped
+                held = None
+                if kind == "result":
+                    future.set_result(reply.get("value"))
+                else:
+                    error = reply.get("exc")
+                    if not isinstance(error, BaseException):
+                        error = DistributedError(f"worker {index} sent malformed error")
+                    future.set_exception(error)
+        except Exception as exc:  # any fault of this agent loses only this agent
+            reason = str(exc) or type(exc).__name__
+        finally:
+            conn.close()
+            self._retire(index, held, reason)
 
-    def _lose_agent(self, agent: _Agent, reason: str) -> None:
-        if not agent.alive:
-            return
-        agent.alive = False
-        if self._selector is not None:
-            try:
-                self._selector.unregister(agent.conn)
-            except (KeyError, ValueError):
-                pass
-        agent.conn.close()
-        message = f"worker {agent.index} lost ({reason})"
-        for seq, pending in agent.assigned:
-            self._pending_items.pop(seq, None)
-            pending._set_error(WorkerLostError(message))
-        agent.assigned.clear()
-        if not any(a.alive for a in self._agents):
+    def _ping(self, conn: socket.socket) -> None:
+        """Heartbeat an idle agent; raise unless it answers in 3 intervals."""
+        send_frame(conn, {"kind": "ping"})
+        conn.settimeout(self._heartbeat * 3)
+        try:
+            reply = recv_frame(conn)
+        except TimeoutError:
+            raise DistributedError("heartbeat silence") from None
+        finally:
+            conn.settimeout(None)
+        if reply is None or reply["kind"] != "pong":
+            raise DistributedError("no pong to a heartbeat ping")
+
+    def _retire(
+        self, index: int, held: _futures.Future[Any] | None, reason: str
+    ) -> None:
+        """An agent thread ends: fail its item, and the queue if it was last."""
+        message = f"worker {index} lost ({reason})"
+        with self._lock:
+            if held is not None and self._running.pop(held, None) is not None:
+                held.set_exception(WorkerLostError(message))
+            self._live -= 1
+            if self._live:
+                return
             failure = DistributedError(f"all workers lost; last: {message}")
-            for seq, _item in self._backlog:
-                entry = self._pending_items.pop(seq, None)
-                if entry is not None:
-                    entry[0]._set_error(failure)
-            self._backlog.clear()
+            for future in self._drain():
+                if not future.done():
+                    future.set_exception(failure)
+
+    def _drain(self) -> list[_futures.Future[Any]]:
+        """Empty the queue (caller holds the lock); its waiting futures."""
+        waiting: list[_futures.Future[Any]] = []
+        while True:
+            try:
+                entry = self._queue.get_nowait()
+            except queue.Empty:
+                return waiting
+            if entry is not None:
+                waiting.append(entry[1])
+
+
+def _shut(conn: socket.socket) -> None:
+    """Wake a thread blocked on ``conn``: closing it from another thread
+    would not, shutting it down does (and ends the agent's session)."""
+    try:
+        conn.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass  # already closed by its thread
 
 
 # ----------------------------------------------------------------------

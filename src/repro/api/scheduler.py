@@ -25,16 +25,20 @@ The :class:`Scheduler` owns
   (the transport abandons the assignment) and retried the same way.
   :attr:`Scheduler.stats` counts retries and timeouts.
 
-*Where* items execute is a pluggable :class:`Transport`:
+*Where* items execute is a pluggable :class:`Transport`.  Every
+transport's ``submit`` returns a :class:`concurrent.futures.Future`, and
+the scheduler parks on :func:`concurrent.futures.wait` until the first
+of its incomplete futures finishes (or the earliest per-item deadline
+passes):
 
 * :class:`LocalThreadTransport` — runs items inline in the calling
-  thread; the serial reference the scheduler's own behavior is
-  validated against.
+  thread and returns an already-completed future; the serial reference
+  the scheduler's own behavior is validated against.
 * :class:`LocalPoolTransport` — a ``concurrent.futures`` process pool
-  on this host.
-* ``SocketTransport`` (:mod:`repro.api.distributed`) — a coordinator
-  work-queue over length-prefixed frames to ``repro worker`` agents on
-  any host.
+  on this host; its futures are the pool's own.
+* ``SocketTransport`` (:mod:`repro.api.distributed`) — one coordinator
+  thread per ``repro worker`` agent on any host, each completing the
+  futures of the items it ships over length-prefixed frames.
 
 Determinism contract: a transport executes each submitted item exactly
 as handed (same ``fn``, same item object) and completion order is
@@ -51,7 +55,7 @@ import time
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import islice
-from typing import Any, Protocol, TypeVar, cast
+from typing import Any, Protocol, TypeVar
 
 from repro.errors import DistributedError, ExperimentError, WorkerLostError
 
@@ -75,31 +79,16 @@ PREFETCH_FACTOR = 2
 MAX_UNYIELDED_FACTOR = 8
 
 
-class Pending(Protocol):
-    """One in-flight submission, as the scheduler sees it."""
-
-    def done(self) -> bool:
-        """True once the submission completed or failed."""
-        ...
-
-    def exception(self) -> BaseException | None:
-        """The failure, or ``None`` — only meaningful once done."""
-        ...
-
-    def result(self) -> Any:
-        """The result; raises the failure if the submission failed."""
-        ...
-
-
 class Transport(Protocol):
     """Pluggable execution substrate under the :class:`Scheduler`.
 
-    ``slots`` sizes the pacing windows (the parallel capacity).  The
-    scheduler calls :meth:`open` exactly once — before the first
-    submission, and only when there is at least one item — then pairs
-    every :meth:`submit` with eventual completion of its
-    :class:`Pending`, and finally exactly one of :meth:`close` (normal
-    completion) or :meth:`abort` (failure or abandonment).
+    Five verbs: ``slots`` sizes the pacing windows (the parallel
+    capacity).  The scheduler calls :meth:`open` exactly once — before
+    the first submission, and only when there is at least one item —
+    then pairs every :meth:`submit` with eventual completion of the
+    future it returns (:meth:`forfeit` completes one early), and finally
+    exactly one of :meth:`close` (normal completion) or :meth:`abort`
+    (failure or abandonment).
     """
 
     @property
@@ -117,16 +106,17 @@ class Transport(Protocol):
         """
         ...
 
-    def submit(self, item: Any) -> Pending: ...
+    def submit(self, item: Any) -> _futures.Future[Any]:
+        """Start ``fn(item)``; the future completes with its outcome.
 
-    def wait(self, pending: Sequence[Pending], timeout: float | None = None) -> None:
-        """Block until any of ``pending`` advances (or ``timeout``)."""
+        An item's own exception is set on the future, never raised here.
+        """
         ...
 
-    def forfeit(self, pending: Pending) -> None:
+    def forfeit(self, future: _futures.Future[Any]) -> None:
         """Abandon one in-flight submission (per-item deadline blown).
 
-        The transport must fail ``pending`` (typically with
+        The transport must fail ``future`` (typically with
         :class:`~repro.errors.WorkerLostError`) before returning; it may
         fail co-assigned submissions the same way (dropping the worker
         that holds them), which the scheduler's retry accounting absorbs.
@@ -136,27 +126,6 @@ class Transport(Protocol):
     def close(self) -> None: ...
 
     def abort(self) -> None: ...
-
-
-class _DonePending:
-    """A submission that completed (or failed) the moment it was made."""
-
-    __slots__ = ("_value", "_error")
-
-    def __init__(self, value: Any = None, error: BaseException | None = None) -> None:
-        self._value = value
-        self._error = error
-
-    def done(self) -> bool:
-        return True
-
-    def exception(self) -> BaseException | None:
-        return self._error
-
-    def result(self) -> Any:
-        if self._error is not None:
-            raise self._error
-        return self._value
 
 
 class LocalThreadTransport:
@@ -175,18 +144,16 @@ class LocalThreadTransport:
     def open(self, fn: Callable[[Any], Any], head_size: int) -> None:
         self._fn = fn
 
-    def submit(self, item: Any) -> Pending:
+    def submit(self, item: Any) -> _futures.Future[Any]:
         assert self._fn is not None, "submit before open"
+        future: _futures.Future[Any] = _futures.Future()
         try:
-            return _DonePending(self._fn(item))
-        except Exception as exc:  # mirror futures: failures are captured
-            return _DonePending(error=exc)
+            future.set_result(self._fn(item))
+        except Exception as exc:  # mirror the pool: failures are captured
+            future.set_exception(exc)
+        return future
 
-    def wait(self, pending: Sequence[Pending], timeout: float | None = None) -> None:
-        # inline execution: everything submitted is already done
-        return
-
-    def forfeit(self, pending: Pending) -> None:
+    def forfeit(self, future: _futures.Future[Any]) -> None:
         raise DistributedError(
             "LocalThreadTransport cannot forfeit an inline submission"
         )
@@ -202,8 +169,8 @@ class LocalPoolTransport:
     """Transport over a ``concurrent.futures`` process pool on this host.
 
     The pool is created at :meth:`open` (sized to the initial window) and
-    its futures are the scheduler's pendings, so input-pull pacing,
-    in-order yield and cancel-on-failure are all the scheduler's.
+    its futures are the scheduler's, so input-pull pacing, in-order
+    yield and cancel-on-failure are all the scheduler's.
     """
 
     def __init__(
@@ -215,7 +182,7 @@ class LocalPoolTransport:
         self.slots = jobs
         self._initializer = initializer
         self._initargs = initargs
-        self._pool: Any = None
+        self._pool: _futures.ProcessPoolExecutor | None = None
         self._fn: Callable[[Any], Any] | None = None
 
     def open(self, fn: Callable[[Any], Any], head_size: int) -> None:
@@ -228,18 +195,11 @@ class LocalPoolTransport:
         )
         self._fn = fn
 
-    def submit(self, item: Any) -> Pending:
+    def submit(self, item: Any) -> _futures.Future[Any]:
         assert self._pool is not None and self._fn is not None, "submit before open"
-        return cast(Pending, self._pool.submit(self._fn, item))
+        return self._pool.submit(self._fn, item)
 
-    def wait(self, pending: Sequence[Pending], timeout: float | None = None) -> None:
-        _futures.wait(
-            cast("Sequence[_futures.Future[Any]]", pending),
-            timeout=timeout,
-            return_when=_futures.FIRST_COMPLETED,
-        )
-
-    def forfeit(self, pending: Pending) -> None:
+    def forfeit(self, future: _futures.Future[Any]) -> None:
         raise DistributedError(
             "process-pool transport cannot forfeit a running submission"
         )
@@ -260,11 +220,11 @@ class LocalPoolTransport:
 class _Slot:
     """Per-item scheduler accounting: the retry/timeout bookkeeping unit."""
 
-    __slots__ = ("item", "pending", "attempts", "deadline")
+    __slots__ = ("item", "future", "attempts", "deadline")
 
-    def __init__(self, item: Any, pending: Pending, deadline: float | None) -> None:
+    def __init__(self, item: Any, future: _futures.Future[Any], deadline: float | None) -> None:
         self.item = item
-        self.pending = pending
+        self.future = future
         self.attempts = 1
         self.deadline = deadline
 
@@ -328,9 +288,9 @@ class Scheduler:
                 incomplete: list[_Slot] = []
                 failed = False
                 for slot in pending:
-                    if not slot.pending.done():
+                    if not slot.future.done():
                         incomplete.append(slot)
-                    elif slot.pending.exception() is not None:
+                    elif slot.future.exception() is not None:
                         if self._retry(slot):
                             incomplete.append(slot)
                         else:
@@ -343,15 +303,16 @@ class Scheduler:
                     slot = self._submit(item)
                     pending.append(slot)
                     incomplete.append(slot)
-                if not pending[0].pending.done():
+                if not pending[0].future.done():
                     # head still running: park until *any* submission
-                    # advances, then loop to refill its slot
-                    transport.wait(
-                        [slot.pending for slot in incomplete],
-                        self._wait_timeout(incomplete),
+                    # completes, then loop to refill its slot
+                    _futures.wait(
+                        [slot.future for slot in incomplete],
+                        timeout=self._wait_timeout(incomplete),
+                        return_when=_futures.FIRST_COMPLETED,
                     )
                     continue
-                yield pending.popleft().pending.result()
+                yield pending.popleft().future.result()
         except BaseException:
             transport.abort()
             raise
@@ -367,12 +328,12 @@ class Scheduler:
 
     def _retry(self, slot: _Slot) -> bool:
         """Resubmit a transport-lost item in place; False = real failure."""
-        if not isinstance(slot.pending.exception(), WorkerLostError):
+        if not isinstance(slot.future.exception(), WorkerLostError):
             return False
         if slot.attempts >= self.max_attempts:
             return False
         slot.attempts += 1
-        slot.pending = self.transport.submit(slot.item)
+        slot.future = self.transport.submit(slot.item)
         if self.timeout is not None:
             slot.deadline = time.monotonic() + self.timeout
         self.stats["retries"] += 1
@@ -385,12 +346,12 @@ class Scheduler:
         now = time.monotonic()
         for slot in pending:
             if (
-                not slot.pending.done()
+                not slot.future.done()
                 and slot.deadline is not None
                 and now >= slot.deadline
             ):
                 self.stats["timeouts"] += 1
-                self.transport.forfeit(slot.pending)
+                self.transport.forfeit(slot.future)
 
     def _wait_timeout(self, incomplete: Sequence[_Slot]) -> float | None:
         """Sleep budget for the next wait: up to the earliest deadline."""

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
+from concurrent.futures import Future
 
 import pytest
 
@@ -115,25 +116,6 @@ class _CountingIterable:
         return value
 
 
-class _InstantFuture:
-    """Future that completed the moment it was submitted."""
-
-    def __init__(self, value=None, error=None):
-        self._value = value
-        self._error = error
-
-    def done(self):
-        return True
-
-    def exception(self):
-        return self._error
-
-    def result(self):
-        if self._error is not None:
-            raise self._error
-        return self._value
-
-
 class _InstantPool:
     """In-process stand-in whose futures complete at submit time — makes
     the executor's input-pull pacing deterministic (no worker timing)."""
@@ -149,10 +131,12 @@ class _InstantPool:
         return False
 
     def submit(self, fn, item):
+        future: Future = Future()
         try:
-            return _InstantFuture(fn(item))
+            future.set_result(fn(item))
         except BaseException as error:  # noqa: BLE001 — futures capture all
-            return _InstantFuture(error=error)
+            future.set_exception(error)
+        return future
 
     def shutdown(self, **kwargs):
         pass

@@ -23,6 +23,7 @@ import subprocess
 import sys
 import threading
 import time
+from concurrent.futures import Future
 from pathlib import Path
 
 import pytest
@@ -37,7 +38,6 @@ from repro.api import (
 from repro.api.distributed import (
     WIRE_VERSION,
     SocketTransport,
-    decode_frames,
     parse_address,
     recv_frame,
     repo_fingerprint,
@@ -108,7 +108,7 @@ def _finish_within(seconds: float, fn):
     """Run ``fn()`` on a helper thread; fail (instead of hanging the
     suite) if it has not returned within ``seconds``.  Returns ``fn``'s
     result or re-raises its exception."""
-    outcome: dict[str, object] = {}
+    outcome = {}
 
     def _target() -> None:
         try:
@@ -121,8 +121,13 @@ def _finish_within(seconds: float, fn):
     runner.join(timeout=seconds)
     assert not runner.is_alive(), f"still running after {seconds:.0f}s"
     if "error" in outcome:
-        raise outcome["error"]  # type: ignore[misc]
+        raise outcome["error"]
     return outcome["value"]
+
+
+def _agent_threads() -> list[threading.Thread]:
+    """The socket transport's per-agent coordinator threads still alive."""
+    return [t for t in threading.enumerate() if t.name.startswith("repro-agent-")]
 
 
 def _double(x: int) -> int:
@@ -139,26 +144,14 @@ def _explode_on_three(x: int) -> int:
 # ----------------------------------------------------------------------
 # scheduler core over fake transports
 # ----------------------------------------------------------------------
-class _FakePending:
-    def __init__(self, value=None, error=None, done=True):
-        self._value = value
-        self._error = error
-        self._done = done
-
-    def done(self):
-        return self._done
-
-    def exception(self):
-        return self._error
-
-    def result(self):
-        if self._error is not None:
-            raise self._error
-        return self._value
-
-    def fail(self, error):
-        self._error = error
-        self._done = True
+def _completed(value=None, error=None) -> Future:
+    """A future that completed the moment it was made."""
+    future: Future = Future()
+    if error is not None:
+        future.set_exception(error)
+    else:
+        future.set_result(value)
+    return future
 
 
 class _FlakyTransport:
@@ -178,16 +171,13 @@ class _FlakyTransport:
     def submit(self, item):
         self.attempts[item] = self.attempts.get(item, 0) + 1
         if item in self._lose and self.attempts[item] == 1:
-            return _FakePending(error=WorkerLostError("worker died"))
+            return _completed(error=WorkerLostError("worker died"))
         try:
-            return _FakePending(self._fn(item))
+            return _completed(self._fn(item))
         except Exception as exc:
-            return _FakePending(error=exc)
+            return _completed(error=exc)
 
-    def wait(self, pending, timeout=None):
-        return
-
-    def forfeit(self, pending):
+    def forfeit(self, future):
         raise AssertionError("no deadlines in this test")
 
     def close(self):
@@ -213,15 +203,12 @@ class _StallTransport:
     def submit(self, item):
         self.attempts[item] = self.attempts.get(item, 0) + 1
         if item == 0 and self.attempts[0] == 1:
-            return _FakePending(done=False)
-        return _FakePending(self._fn(item))
+            return Future()  # never completes on its own
+        return _completed(self._fn(item))
 
-    def wait(self, pending, timeout=None):
-        time.sleep(min(timeout if timeout is not None else 0.005, 0.005))
-
-    def forfeit(self, pending):
+    def forfeit(self, future):
         self.forfeits += 1
-        pending.fail(WorkerLostError("deadline blown"))
+        future.set_exception(WorkerLostError("deadline blown"))
 
     def close(self):
         pass
@@ -256,7 +243,7 @@ class TestSchedulerCore:
         class _AlwaysLost(_FlakyTransport):
             def submit(self, item):
                 self.attempts[item] = self.attempts.get(item, 0) + 1
-                return _FakePending(error=WorkerLostError("worker died"))
+                return _completed(error=WorkerLostError("worker died"))
 
         transport = _AlwaysLost()
         scheduler = Scheduler(transport, max_attempts=2)
@@ -301,23 +288,6 @@ class TestWire:
         finally:
             a.close()
             b.close()
-
-    def test_decode_frames_handles_partials_and_batches(self):
-        a, b = socket.socketpair()
-        try:
-            send_frame(a, {"kind": "ping"})
-            send_frame(a, {"kind": "pong"})
-            raw = b.recv(1 << 16)
-        finally:
-            a.close()
-            b.close()
-        first_end = 4 + int.from_bytes(raw[:4], "big")
-        cut = first_end + 2  # one whole frame plus a sliver of the next
-        buffer = bytearray(raw[:cut])
-        assert decode_frames(buffer) == [{"kind": "ping"}]
-        buffer.extend(raw[cut:])
-        assert decode_frames(buffer) == [{"kind": "pong"}]
-        assert not buffer
 
     def test_recv_frame_reassembles_split_writes_and_rejects_truncation(self):
         a, b = socket.socketpair()
@@ -539,6 +509,7 @@ class TestEndToEnd:
             executor = Scheduler(SocketTransport([f"127.0.0.1:{port}"] * 2))
             assert list(executor.map(_double, range(20))) == [2 * x for x in range(20)]
             assert executor.stats == {"retries": 0, "timeouts": 0}
+            assert not _agent_threads()  # joined on close
         finally:
             _reap(*workers)
 
@@ -654,6 +625,29 @@ class TestEndToEnd:
         finally:
             _reap(*agents)
 
+    def test_abort_wakes_a_thread_blocked_on_a_hung_agent(self, tmp_path):
+        """abort returns promptly while an agent hangs on its item: the
+        agent's coordinator thread is woken, fails the item, and is
+        joined before abort returns."""
+        port = _free_port()
+        mark = tmp_path / "hung-agent-got-a-task"
+        hung = _spawn_worker(
+            port, "--chaos-mark", str(mark), "--chaos-hang-on-task", "1"
+        )
+        try:
+            transport = SocketTransport([f"127.0.0.1:{port}"])
+            transport.open(_double, 1)
+            future = transport.submit(21)
+            deadline = time.monotonic() + 60.0
+            while not mark.exists() and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert mark.exists(), "the agent never received its task"
+            _finish_within(10.0, transport.abort)
+            assert isinstance(future.exception(timeout=0), WorkerLostError)
+            assert not _agent_threads()
+        finally:
+            _reap(hung)
+
     def test_per_item_timeout_chaos_reassigns(self):
         """An agent that hangs on its first item blows the per-item
         deadline: the coordinator forfeits it, drops the agent, and the
@@ -665,8 +659,37 @@ class TestEndToEnd:
             executor = Scheduler(
                 SocketTransport([f"127.0.0.1:{port}"] * 2), timeout=3.0, max_attempts=2
             )
-            assert list(executor.map(_double, range(8))) == [2 * x for x in range(8)]
+            # bounded: close must not block on the abandoned agent
+            out = _finish_within(60.0, lambda: list(executor.map(_double, range(8))))
+            assert out == [2 * x for x in range(8)]
             assert executor.stats["timeouts"] >= 1
             assert executor.stats["retries"] >= 1
         finally:
             _reap(hung, survivor)
+
+    def test_last_agent_lost_fails_queued_items_for_good(self, tmp_path):
+        """SIGKILL the only agent while it holds one item and another
+        waits in the queue: the held item fails with the retryable
+        WorkerLostError, the queued one with the fatal DistributedError."""
+        port = _free_port()
+        mark = tmp_path / "agent-got-a-task"
+        agent = _spawn_worker(
+            port, "--chaos-mark", str(mark), "--chaos-hang-on-task", "1"
+        )
+        try:
+            transport = SocketTransport([f"127.0.0.1:{port}"])
+            transport.open(_double, 2)
+            held, queued = transport.submit(1), transport.submit(2)
+            deadline = time.monotonic() + 60.0
+            while not mark.exists() and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert mark.exists(), "the agent never received its task"
+            os.kill(agent.pid, signal.SIGKILL)
+            assert isinstance(held.exception(timeout=30), WorkerLostError)
+            lost = queued.exception(timeout=30)
+            assert isinstance(lost, DistributedError)
+            assert not isinstance(lost, WorkerLostError)
+            _finish_within(10.0, transport.close)
+            assert not _agent_threads()
+        finally:
+            _reap(agent)
