@@ -50,6 +50,7 @@ from repro.api import RunContext
 from repro.engine.dispatch import BACKENDS
 from repro.experiments import figures, tables
 from repro.experiments.ablations import (
+    RC_SWEEP,
     format_ablation,
     rc_sweep_ablation,
     rewiring_exclusion_ablation,
@@ -63,6 +64,10 @@ from repro.graph.datasets import (
     dataset_spec,
     load_dataset,
 )
+
+
+#: the rewiring coefficient a command uses when ``--rc`` is not given
+_DEFAULT_RC = 50.0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -106,7 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--runs", type=int, default=3, help="runs per cell (paper: 10)")
         if rc:
             p.add_argument(
-                "--rc", type=float, default=50.0, help="rewiring coefficient (paper: 500)"
+                "--rc", type=float, default=_DEFAULT_RC, help="rewiring coefficient (paper: 500)"
             )
         p.add_argument("--scale", type=float, default=1.0, help="dataset stand-in scale")
         p.add_argument("--seed", type=int, default=1, help="base seed (cell/run seeds are spawned from it)")
@@ -196,6 +201,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_abl = sub.add_parser("ablate", help="design-choice ablations")
     common(p_abl, runs=False, harness=False)  # variants share one walk
+    p_abl.set_defaults(rc=None)  # None = not given: --which rc sweeps its own
     p_abl.add_argument(
         "--which",
         choices=("rewiring", "rc", "subgraph", "all"),
@@ -452,9 +458,18 @@ def _cmd_fig4(args) -> str:
     return "wrote:\n" + "\n".join(paths)
 
 
-def _cmd_ablate(args) -> str:
+def _cmd_ablate(args) -> str | int:
     from repro.metrics.suite import EvaluationConfig
 
+    if args.which == "rc" and args.rc is not None:
+        swept = ", ".join(f"{rc:g}" for rc in RC_SWEEP)
+        print(
+            f"repro ablate: error: --which rc sweeps RC over {swept}; "
+            "--rc applies only to the rewiring and subgraph ablations",
+            file=sys.stderr,
+        )
+        return 2
+    rc = _DEFAULT_RC if args.rc is None else args.rc
     context = _context(args)
     evaluation = EvaluationConfig(
         backend=context.backend, exact_paths=context.exact_paths
@@ -463,7 +478,7 @@ def _cmd_ablate(args) -> str:
     if args.which in ("rewiring", "all"):
         rows = rewiring_exclusion_ablation(
             dataset=args.dataset,
-            rc=args.rc,
+            rc=rc,
             scale=args.scale,
             seed=context.seed,
             evaluation=evaluation,
@@ -482,7 +497,7 @@ def _cmd_ablate(args) -> str:
     if args.which in ("subgraph", "all"):
         rows = subgraph_use_ablation(
             dataset=args.dataset,
-            rc=args.rc,
+            rc=rc,
             scale=args.scale,
             seed=context.seed,
             evaluation=evaluation,

@@ -110,10 +110,14 @@ def rewiring_exclusion_ablation(
     return _ablate(variants, dataset, fraction, scale, seed, evaluation)
 
 
+#: The RC values :func:`rc_sweep_ablation` sweeps unless told otherwise.
+RC_SWEEP = (5, 25, 100, 500)
+
+
 def rc_sweep_ablation(
     dataset: str = "anybeat",
     fraction: float = 0.10,
-    rc_values: tuple[float, ...] = (5, 25, 100, 500),
+    rc_values: tuple[float, ...] = RC_SWEEP,
     scale: float = 1.0,
     seed: int = 1,
     evaluation: EvaluationConfig | None = None,

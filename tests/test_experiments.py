@@ -345,3 +345,41 @@ class TestCli:
         from repro.cli import _build_parser
 
         _build_parser().parse_args(argv)
+
+    def test_ablate_rc_sweep_rejects_rc(self, capsys):
+        """``--which rc`` sweeps fixed RC values, so an ``--rc`` it would
+        ignore is refused (exit 2) with the swept values named."""
+        from repro.cli import main
+
+        assert main(["ablate", "--which", "rc", "--rc", "7", "--scale", "0.1"]) == 2
+        assert "5, 25, 100, 500" in capsys.readouterr().err
+
+    def test_ablate_passes_rc_to_the_ablations_that_read_it(self, monkeypatch):
+        from repro import cli
+
+        calls: dict[str, dict] = {}
+
+        def recorder(name):
+            def ablation(**kwargs):
+                calls[name] = kwargs
+                return []
+
+            return ablation
+
+        for name in (
+            "rewiring_exclusion_ablation", "rc_sweep_ablation", "subgraph_use_ablation"
+        ):
+            monkeypatch.setattr(cli, name, recorder(name))
+        monkeypatch.setattr(cli, "format_ablation", lambda rows, title: title)
+
+        assert cli.main(["ablate", "--which", "all", "--rc", "7"]) == 0
+        assert calls["rewiring_exclusion_ablation"]["rc"] == 7.0
+        assert calls["subgraph_use_ablation"]["rc"] == 7.0
+        assert "rc" not in calls["rc_sweep_ablation"]
+        calls.clear()
+        assert cli.main(["ablate", "--which", "all"]) == 0
+        assert calls["rewiring_exclusion_ablation"]["rc"] == 50.0
+        assert calls["subgraph_use_ablation"]["rc"] == 50.0
+        calls.clear()
+        assert cli.main(["ablate", "--which", "rc"]) == 0
+        assert list(calls) == ["rc_sweep_ablation"]
