@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.errors import BudgetExhaustedError, CrawlFaultError, SamplingError
@@ -83,32 +84,9 @@ def bfs_crawl(
 ) -> CrawlResult:
     """Breadth-first search crawl: explore all neighbors of the earliest
     explored node, repeatedly, until the query budget is met."""
-    r = ensure_rng(rng)
-    start = seed if seed is not None else access.random_seed(r)
-    result = CrawlResult()
-    lenient = _lenient(access)
-    reseeds = 0
-    queue: deque[Node] = deque([start])
-    enqueued: set[Node] = {start}
-    while queue and result.num_queried < target_queried:
-        u = queue.popleft()
-        try:
-            nbrs = access.query(u)
-        except CrawlFaultError:
-            if not queue:
-                reseeds = _reseed(queue, enqueued, result, access, r, reseeds)
-            continue
-        except BudgetExhaustedError:
-            if lenient:
-                break
-            raise
-        result.record(u, nbrs)
-        for v in nbrs:
-            if v not in enqueued:
-                enqueued.add(v)
-                queue.append(v)
-    _check_reached(result, target_queried, "BFS", lenient)
-    return result
+    return _frontier_crawl(
+        access, target_queried, seed, rng, "BFS", lambda fresh, r: fresh
+    )
 
 
 def snowball_crawl(
@@ -122,37 +100,14 @@ def snowball_crawl(
     distinct neighbors from each queried node."""
     if k < 1:
         raise SamplingError(f"snowball k must be >= 1, got {k}")
-    r = ensure_rng(rng)
-    start = seed if seed is not None else access.random_seed(r)
-    result = CrawlResult()
-    lenient = _lenient(access)
-    reseeds = 0
-    queue: deque[Node] = deque([start])
-    enqueued: set[Node] = {start}
-    while queue and result.num_queried < target_queried:
-        u = queue.popleft()
-        try:
-            nbrs = access.query(u)
-        except CrawlFaultError:
-            if not queue:
-                reseeds = _reseed(queue, enqueued, result, access, r, reseeds)
-            continue
-        except BudgetExhaustedError:
-            if lenient:
-                break
-            raise
-        result.record(u, nbrs)
-        fresh = _distinct_unvisited(nbrs, enqueued)
-        picked = fresh if len(fresh) <= k else r.sample(fresh, k)
-        for v in picked:
-            enqueued.add(v)
-            queue.append(v)
-        if not queue and result.num_queried < target_queried:
-            _revive(queue, enqueued, result, r)
-            if not queue and lenient:
-                reseeds = _reseed(queue, enqueued, result, access, r, reseeds)
-    _check_reached(result, target_queried, "snowball", lenient)
-    return result
+    return _frontier_crawl(
+        access,
+        target_queried,
+        seed,
+        rng,
+        "snowball",
+        lambda fresh, r: fresh if len(fresh) <= k else r.sample(fresh, k),
+    )
 
 
 def forest_fire_crawl(
@@ -171,6 +126,33 @@ def forest_fire_crawl(
     """
     if not 0.0 < p_forward < 1.0:
         raise SamplingError(f"forest fire p_forward must be in (0, 1), got {p_forward}")
+    return _frontier_crawl(
+        access,
+        target_queried,
+        seed,
+        rng,
+        "forest fire",
+        lambda fresh, r: r.sample(fresh, min(_geometric(p_forward, r), len(fresh))),
+    )
+
+
+def _frontier_crawl(
+    access: GraphAccess,
+    target_queried: int,
+    seed: Node | None,
+    rng: random.Random | int | None,
+    label: str,
+    expand: Callable[[list[Node], random.Random], list[Node]],
+) -> CrawlResult:
+    """The one loop behind every frontier crawler.
+
+    Queries frontier nodes first-in first-out; ``expand`` picks which of
+    a queried node's distinct unvisited neighbors (in first-seen order)
+    join the frontier.  A frontier that empties before the budget is met
+    is revived from sampled territory (:func:`_revive`); under a fault
+    regime a crawl with nothing left to revive from re-seeds
+    (:func:`_reseed`).
+    """
     r = ensure_rng(rng)
     start = seed if seed is not None else access.random_seed(r)
     result = CrawlResult()
@@ -195,12 +177,10 @@ def forest_fire_crawl(
                 break
             raise
         result.record(u, nbrs)
-        fresh = _distinct_unvisited(nbrs, enqueued)
-        n_burn = min(_geometric(p_forward, r), len(fresh))
-        for v in r.sample(fresh, n_burn):
+        for v in expand(_distinct_unvisited(nbrs, enqueued), r):
             enqueued.add(v)
             queue.append(v)
-    _check_reached(result, target_queried, "forest fire", lenient)
+    _check_reached(result, target_queried, label, lenient)
     return result
 
 

@@ -14,6 +14,7 @@ of the three.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.errors import BudgetExhaustedError, CrawlFaultError, SamplingError
@@ -106,33 +107,8 @@ def random_walk(
     partial walk.  All recovery draws come from the walk's own
     generator, so a faulty walk is a pure function of ``(seed, policy)``.
     """
-    r = ensure_rng(rng)
-    cap = max_steps if max_steps is not None else 1000 * max(target_queried, 1)
-    current = seed if seed is not None else access.random_seed(r)
-    policy = access.fault_policy
-    lenient = policy is not None and not policy.is_null
-    walk = SamplingList()
-    for _ in range(cap):
-        try:
-            nbrs = access.query(current)
-        except CrawlFaultError:
-            current = r.choice(walk.nodes) if walk.nodes else access.random_seed(r)
-            continue
-        except BudgetExhaustedError:
-            if lenient and walk.nodes:
-                return walk
-            raise
-        if not nbrs:
-            raise SamplingError(f"walk stuck: node {current!r} has no edges")
-        walk.record(current, nbrs)
-        if access.num_queried >= target_queried:
-            return walk
-        current = r.choice(nbrs)
-    if lenient and walk.nodes:
-        return walk
-    raise SamplingError(
-        f"random walk did not reach {target_queried} distinct nodes "
-        f"within {cap} steps (graph too small or disconnected?)"
+    return _walk(
+        access, target_queried, seed, rng, max_steps, _simple_step, "random walk"
     )
 
 
@@ -148,32 +124,72 @@ def non_backtracking_random_walk(
 
     Improves query efficiency over the simple walk while keeping the sample
     sequence Markovian on directed edges; the estimators remain applicable
-    in practice (the paper cites this as a combinable improvement).
+    in practice (the paper cites this as a combinable improvement).  Under
+    an imperfect-crawler regime it degrades exactly as :func:`random_walk`
+    does; a teleport traverses no edge, so the step after it may go back.
     """
+    return _walk(
+        access, target_queried, seed, rng, max_steps, _non_backtracking_step,
+        "non-backtracking walk",
+    )
+
+
+def _simple_step(nbrs: list[Node], previous: Node | None, r: random.Random) -> Node:
+    return r.choice(nbrs)
+
+
+def _non_backtracking_step(
+    nbrs: list[Node], previous: Node | None, r: random.Random
+) -> Node:
+    if previous is not None and len(nbrs) > 1:
+        choices = [v for v in nbrs if v != previous]
+        if not choices:  # all parallel edges lead back; must backtrack
+            choices = nbrs
+        return r.choice(choices)
+    return r.choice(nbrs)
+
+
+def _walk(
+    access: GraphAccess,
+    target_queried: int,
+    seed: Node | None,
+    rng: random.Random | int | None,
+    max_steps: int | None,
+    step: Callable[[list[Node], Node | None, random.Random], Node],
+    label: str,
+) -> SamplingList:
+    """The one loop behind both edge-walks; ``step(nbrs, previous, r)``
+    picks the next node from the current node's edge list, given the
+    node the walker arrived from (``None`` after a seed or teleport)."""
     r = ensure_rng(rng)
     cap = max_steps if max_steps is not None else 1000 * max(target_queried, 1)
     current = seed if seed is not None else access.random_seed(r)
     previous: Node | None = None
+    policy = access.fault_policy
+    lenient = policy is not None and not policy.is_null
     walk = SamplingList()
     for _ in range(cap):
-        nbrs = access.query(current)
+        try:
+            nbrs = access.query(current)
+        except CrawlFaultError:
+            current = r.choice(walk.nodes) if walk.nodes else access.random_seed(r)
+            previous = None
+            continue
+        except BudgetExhaustedError:
+            if lenient and walk.nodes:
+                return walk
+            raise
         if not nbrs:
             raise SamplingError(f"walk stuck: node {current!r} has no edges")
         walk.record(current, nbrs)
         if access.num_queried >= target_queried:
             return walk
-        if previous is not None and len(nbrs) > 1:
-            choices = [v for v in nbrs if v != previous]
-            if not choices:  # all parallel edges lead back; must backtrack
-                choices = nbrs
-            nxt = r.choice(choices)
-        else:
-            nxt = r.choice(nbrs)
-        previous = current
-        current = nxt
+        previous, current = current, step(nbrs, previous, r)
+    if lenient and walk.nodes:
+        return walk
     raise SamplingError(
-        f"non-backtracking walk did not reach {target_queried} distinct "
-        f"nodes within {cap} steps"
+        f"{label} did not reach {target_queried} distinct nodes "
+        f"within {cap} steps (graph too small or disconnected?)"
     )
 
 

@@ -41,6 +41,7 @@ from repro.sampling.crawlers import (
     _geometric,
     _revive,
     bfs_crawl,
+    crawl_result_from_walk,
     forest_fire_crawl,
     random_walk_crawl,
     snowball_crawl,
@@ -51,13 +52,22 @@ from repro.sampling.faults import (
     policy_from_knobs,
     spawn_fault_seed,
 )
+from repro.sampling.walkers import non_backtracking_random_walk
 from repro.service.protocol import normalize_request, request_key
+
+
+def _non_backtracking_crawl(access, target_queried, seed=None, rng=None):
+    return crawl_result_from_walk(
+        non_backtracking_random_walk(access, target_queried, seed=seed, rng=rng)
+    )
+
 
 CRAWLERS = {
     "bfs": bfs_crawl,
     "snowball": snowball_crawl,
     "ff": forest_fire_crawl,
     "walk": random_walk_crawl,
+    "nbrw": _non_backtracking_crawl,
 }
 
 _GRAPH_SEED = 5
@@ -302,6 +312,20 @@ def test_seed_node_that_churns_reseeds_deterministically(crawler):
     assert access.fault_stats["churned"] >= 1
     again, _ = run()
     assert _trace(result) == _trace(again)
+
+
+@pytest.mark.parametrize("crawler", ["bfs", "snowball", "ff"])
+def test_frontier_crawl_reseeds_when_a_successful_query_empties_it(crawler):
+    """Seeded in a 3-node component of a 203-node graph under a fault
+    regime, a frontier crawler that exhausts the component re-seeds and
+    reaches its target, whichever fresh neighbours it enqueues."""
+    g = powerlaw_cluster_graph(200, 3, 0.3, rng=_GRAPH_SEED)
+    g.add_edge(200, 201)
+    g.add_edge(201, 202)
+    access = FaultyAccess(g, FaultPolicy(rate_limit=1000), fault_seed=0)
+    result = CRAWLERS[crawler](access, 40, seed=200, rng=11)
+    assert result.num_queried == 40
+    assert {200, 201, 202} <= set(result.queried)
 
 
 def test_budget_exhaustion_mid_retry_raises_from_query():
