@@ -19,6 +19,7 @@ scale factor can be reported explicitly (``repro datasets`` prints both).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.errors import DatasetError
@@ -106,7 +107,10 @@ def load_dataset(name: str, scale: float = 1.0, cache: bool = True) -> MultiGrap
     scale:
         Multiplier on the stand-in node budget; benches use ``scale < 1`` to
         keep sweep runtimes bounded.  The same scale always yields the same
-        graph (generation is seeded per dataset).
+        graph (generation is seeded per dataset).  A stand-in is never
+        larger than the graph it stands in for: ``scale`` must be finite,
+        positive and at most ``paper_nodes / n`` (anybeat 5.06, youtube
+        113.5), else :class:`DatasetError`.
     cache:
         Memoize graphs per ``(name, scale)`` — the experiment harness loads
         the same dataset for every method and run.
@@ -118,8 +122,14 @@ def load_dataset(name: str, scale: float = 1.0, cache: bool = True) -> MultiGrap
     if cache and key in _CACHE:
         return _CACHE[key]
     spec = dataset_spec(name)
-    if scale <= 0:
-        raise DatasetError(f"scale must be positive, got {scale}")
+    if not math.isfinite(scale) or scale <= 0:
+        raise DatasetError(f"scale must be positive and finite, got {scale}")
+    if spec.n * scale > spec.paper_nodes:
+        raise DatasetError(
+            f"scale {scale} would give the {name} stand-in {spec.n * scale:.0f} "
+            f"nodes, more than the {spec.paper_nodes} of the graph it stands in "
+            f"for; the largest scale is {spec.paper_nodes / spec.n:.4g}"
+        )
     n = max(50, int(spec.n * scale))
     raw = generators.community_social_graph(
         n=n,

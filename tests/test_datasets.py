@@ -43,6 +43,15 @@ class TestRegistry:
         with pytest.raises(DatasetError):
             load_dataset("anybeat", scale=0.0)
 
+    def test_stand_in_never_outgrows_the_paper_graph(self):
+        # anybeat: 2 500 × 6 = 15 000 stand-in nodes > 12 645 in the paper
+        with pytest.raises(DatasetError, match="largest scale is 5.058"):
+            load_dataset("anybeat", scale=6)
+
+    def test_non_finite_scale_raises(self):
+        with pytest.raises(DatasetError, match="finite"):
+            load_dataset("anybeat", scale=float("nan"))
+
 
 class TestLoadedGraphs:
     @pytest.mark.parametrize("name", ["anybeat", "youtube"])

@@ -508,6 +508,25 @@ class TestServiceErrors:
         assert frames[-1]["event"] == "error"
         assert frames[-1]["error_code"] == "dataset"
 
+    def test_restore_beyond_the_paper_graph_is_a_dataset_error(self):
+        """A scale whose stand-in would outgrow the paper's graph is
+        refused before the worker starts building it."""
+
+        async def main():
+            service = await _start_service(jobs=1)
+            c = await AsyncServiceClient.connect(service.host, service.port)
+            frames = await c.request_frames(
+                "restore", {"dataset": "anybeat", "scale": 6}
+            )
+            await c.close()
+            await service.drain()
+            return frames
+
+        frames = asyncio.run(main())
+        assert frames[-1]["event"] == "error"
+        assert frames[-1]["error_code"] == "dataset"
+        assert "largest scale" in frames[-1]["message"]
+
     def test_malformed_json_line_gets_protocol_error_frame(self):
         async def main():
             service = await _start_service(jobs=1)
