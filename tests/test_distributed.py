@@ -41,6 +41,7 @@ from repro.api.distributed import (
     parse_address,
     recv_frame,
     repo_fingerprint,
+    run_worker,
     send_frame,
 )
 from repro.api.scheduler import LocalThreadTransport, Scheduler
@@ -512,6 +513,34 @@ class TestEndToEnd:
             assert not _agent_threads()  # joined on close
         finally:
             _reap(*workers)
+
+    def test_many_agents_under_fast_thread_switching(self):
+        """Stress: four in-process agents, more than the cores of a small
+        host, and a 1 µs thread switch interval.  Every item comes back
+        once and in order, every agent exits 0, and no coordinator
+        thread outlives the map."""
+        address = f"127.0.0.1:{_free_port()}"
+        exits: list[int] = []
+        agents = [
+            threading.Thread(
+                target=lambda: exits.append(run_worker(address)), daemon=True
+            )
+            for _ in range(4)
+        ]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for agent in agents:
+                agent.start()
+            executor = Scheduler(SocketTransport([address] * 4))
+            out = _finish_within(60.0, lambda: list(executor.map(_double, range(400))))
+            assert out == [2 * x for x in range(400)]
+            for agent in agents:
+                agent.join(timeout=10.0)
+            assert exits == [0, 0, 0, 0]
+            assert not _agent_threads()
+        finally:
+            sys.setswitchinterval(previous)
 
     def test_remote_item_error_propagates(self):
         port = _free_port()
