@@ -479,7 +479,7 @@ class SocketTransport:
 
 def _shut(conn: socket.socket) -> None:
     """Wake a thread blocked on ``conn``: closing it from another thread
-    would not, shutting it down does (and ends the agent's session)."""
+    would not, shutting it down does (and the agent sees its end)."""
     try:
         conn.shutdown(socket.SHUT_RDWR)
     except OSError:
