@@ -5,10 +5,12 @@ pooled, ``python`` vs ``csr``), so a change that moves every number at
 once passes them all.  These tests pin the bytes themselves: the SHA-256
 of a small sweep's ``include_timings=False`` CSV and of the edge lists
 ``repro restore --out`` writes, each under ``auto`` and forced
-``python``, of a faulty crawl's restored edge list, of what ``repro
-convergence`` prints, and of what the other experiment front ends
-return: Tables III and V as ``include_timings=False`` CSV, the Figure 3
-series block and the rows of the three ablations.  Only 6-decimal CSVs
+``python`` (at rc 5, where both run the python rewiring core, and at
+rc 50, where ``auto`` runs the CSR core), of a faulty crawl's restored
+edge list, of what ``repro convergence`` prints, and of what the other
+experiment front ends return: Tables III and V as
+``include_timings=False`` CSV, the Figure 3 series block and the rows of
+the three ablations.  Only 6-decimal CSVs
 and rows, integer edge lists and 3-decimal tables are digested, never
 raw floats: λ1 agrees between calls only to solver tolerance.
 
@@ -84,7 +86,9 @@ CASES = [f"sweep/{backend}" for backend in BACKENDS] + [
     f"restore/{dataset}/{backend}"
     for dataset in RESTORE_DATASETS
     for backend in BACKENDS
-] + [f"convergence/{dataset}" for dataset in CONVERGENCE_DATASETS] + [
+] + [f"restore-rc50/anybeat/{backend}" for backend in BACKENDS] + [
+    f"convergence/{dataset}" for dataset in CONVERGENCE_DATASETS
+] + [
     "faulty-restore/anybeat/auto",
     "table/table3",
     "table/table5",
@@ -114,11 +118,15 @@ def _sweep_digest(backend: str) -> str:
 
 
 def _restore_digest(
-    dataset: str, backend: str, tmp_path: Path, faults: tuple[str, ...] = ()
+    dataset: str,
+    backend: str,
+    tmp_path: Path,
+    faults: tuple[str, ...] = (),
+    rc: str = "5",
 ) -> str:
     prefix = tmp_path / f"{dataset}-{backend}"
     argv = ["restore", dataset, "--scale", "0.1", "--fraction", "0.1"]
-    argv += ["--rc", "5", "--backend", backend, "--out", str(prefix), *faults]
+    argv += ["--rc", rc, "--backend", backend, "--out", str(prefix), *faults]
     assert main(argv) == 0
     return _sha256(Path(f"{prefix}.edges").read_bytes())
 
@@ -161,6 +169,9 @@ def _digest(case: str, tmp_path: Path, capsys) -> str:
         return _sweep_digest(*rest)
     if kind == "convergence":
         return _convergence_digest(*rest, capsys)
+    if kind == "restore-rc50":
+        # a budget of 28 950 attempts: auto resolves to the CSR core
+        return _restore_digest(*rest, tmp_path, rc="50")
     if kind == "faulty-restore":
         faults = ("--fault-rate", "0.1", "--churn", "0.05")
         return _restore_digest(*rest, tmp_path, faults)

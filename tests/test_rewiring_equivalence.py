@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.dk.dk_series import generate_2k
 from repro.dk.rewiring import RewiringEngine
 from repro.graph.generators import powerlaw_cluster_graph
 from repro.graph.multigraph import MultiGraph
@@ -153,6 +154,31 @@ def test_incremental_state_matches_fresh_recount():
     tracked = e.clustering_by_degree()
     for k, v in fresh.items():
         assert tracked[k] == pytest.approx(v, abs=1e-9)
+
+
+@pytest.mark.parametrize("forbid_parallel", [True, False])
+@pytest.mark.parametrize("forbid_loops", [True, False])
+def test_dense_accepts_replay_identically(forbid_loops, forbid_parallel):
+    # a stub-matched 2K graph far from a raised target accepts ~40 swaps
+    # per stream window, so the CSR core's post-accept bookkeeping (rows
+    # marked pending, patched corrections) runs thousands of times here
+    source = powerlaw_cluster_graph(400, 4, 0.3, rng=5)
+    g = generate_2k(source, rng=7)
+    target = {k: min(1.0, 1.4 * v) for k, v in
+              degree_dependent_clustering(source).items()}
+    canon = sorted({(min(u, v), max(u, v)) for u, v in g.edges()})
+    protected = set(canon[: len(canon) // 10])
+    e_py, e_csr, r_py, r_csr, g_py, g_csr = run_both(
+        g,
+        target,
+        seed=3,
+        protected=protected,
+        forbid_loops=forbid_loops,
+        forbid_parallel=forbid_parallel,
+        rc=50,
+    )
+    assert r_py.accepted > 500
+    assert_equivalent(e_py, e_csr, r_py, r_csr, g_py, g_csr)
 
 
 @pytest.mark.slow
