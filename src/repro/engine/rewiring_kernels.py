@@ -31,9 +31,14 @@ reference implementation:
     global-key multiplicity lookup, and triangle-delta scoring through
     sorted-neighbor intersections bucketed by degree class.  A window
     is only a *screen*: the first attempt whose screened distance could
-    beat the current one is re-scored with the scalar reference overlay
-    (exact reference arithmetic, same summation order), so accepted swaps,
-    their order, and the stored distances match the Python backend.
+    beat the current one is re-evaluated exactly (the reference's
+    ascending-class arithmetic), so accepted swaps, their order, and the
+    stored distances match the Python backend.  After an accept the
+    window is patched only where that swap can reach: rows drawing a
+    rewritten candidate slot or sharing a node with the swap turn stale
+    and are replayed by the scalar reference path if the scan reaches
+    them, and the other rows' screened corrections are redone only for
+    their delta entries in the degree classes the swap changed.
 
 The scalar overlay machinery (`proposal_triangle_deltas`) lives here, at
 module level, so both backends share one definition; ``dk/rewiring.py``
@@ -277,6 +282,27 @@ def proposal_triangle_deltas(
 # ----------------------------------------------------------------------
 # CSR rewiring core
 # ----------------------------------------------------------------------
+class _Window:
+    """Screening state of one stream window, patched in place per accept.
+
+    Rows are the window's attempts.  ``uv`` holds the screened rows'
+    nonzero per-class triangle deltas, ordered by row and then class, with
+    ``erow``/``ecls`` the row and class of each entry and
+    ``estart[r]:estart[r + 1]`` row ``r``'s slice; ``cs`` is each row's
+    screened distance change.  ``static_rows`` lists the rows that pass
+    the state-independent checks and ``static_nodes`` their ``x, y, a, b``
+    (one row each).  ``pending`` rows were made stale by an accept and are
+    replayed from their raw draws; ``interesting`` marks the rows the scan
+    stops at.
+    """
+
+    __slots__ = (
+        "i1", "c1", "i2", "c2", "x", "y", "a", "b", "corner",
+        "uv", "erow", "ecls", "estart", "cs",
+        "static_rows", "static_nodes", "pending", "interesting",
+    )
+
+
 class CSRRewiringCore:
     """Array-backed twin of the Python rewiring core.
 
@@ -353,6 +379,11 @@ class CSRRewiringCore:
             (index[v] for _, v in candidates), dtype=np.int64, count=count
         )
 
+        # scratch for _patch_window, all clear between calls: the swap's
+        # nodes, and the triangle-sum change of each degree class
+        self._swap_mark = np.zeros(n, dtype=bool)
+        self._class_shift = np.zeros(K, dtype=np.float64)
+
         self._init_rows(csr)
         self._distance = normalized_l1_distance(
             self.clustering_by_degree(), self.target, self._norm
@@ -383,11 +414,13 @@ class CSRRewiringCore:
         """The hill climb; same contract as the Python core's ``run``.
 
         Attempts are processed in stream-block windows.  A window is
-        screened once; after each accepted swap, only the tail proposals
-        that could be affected are re-derived (those referencing one of the
-        two rewritten candidate slots or sharing a node with the swap),
-        while everyone else's screened correction is patched per changed
-        degree class — the expensive intersection work is never repeated.
+        screened once (:meth:`_screen`) and then scanned in order, stopping
+        only at its *interesting* rows: potential accepts, corner cases and
+        rows an earlier accept made stale.  After an accepted swap,
+        :meth:`_patch_window` touches only the tail rows that swap can
+        change, so the work an accept costs scales with those rows, not
+        with the window — the expensive intersection work is never
+        repeated.
 
         Parameters
         ----------
@@ -421,47 +454,19 @@ class CSRRewiringCore:
         # below the screen's own float-reordering error and could
         # silently drop an accept the reference makes
         thresh = max(SCREEN_EPS * self._norm, 1e-12)
-        K = self._K
         while performed < attempts and not stopped:
             want = min(STREAM_BLOCK, attempts - performed)
-            i1, c1, i2, c2 = self._stream.window(want)
-            W = int(i1.size)
-            x, y, a, b, valid, corner = self._orient_and_validate(
-                i1, c1, i2, c2
-            )
-            scored = np.zeros(W, dtype=bool)
-            nonzero = np.zeros(W, dtype=bool)
-            cs = np.zeros(W, dtype=np.float64)
-            sidx = np.flatnonzero(valid & ~corner)
-            if sidx.size:
-                uk, uv = self._derive_sparse(
-                    x[sidx], y[sidx], a[sidx], b[sidx], sidx
-                )
-                rid = uk // K
-                cs += np.bincount(
-                    rid, weights=self._entry_corr(uk, uv), minlength=W
-                )
-                nonzero[rid] = True
-                scored[sidx] = True
-            else:
-                uk = np.zeros(0, dtype=np.int64)
-                uv = np.zeros(0, dtype=np.float64)
-            # rows invalidated by an accept are re-evaluated lazily by
-            # the scalar reference path if and when the scan reaches
-            # them, instead of being eagerly re-derived
-            pending = np.zeros(W, dtype=bool)
-            i12 = np.vstack((i1, i2))
-            nmat = np.vstack((x, y, a, b))
-            interesting = (scored & nonzero & (cs < thresh)) | corner
-            events = np.flatnonzero(interesting).tolist()
-            ei = 0
+            win = self._screen(*self._stream.window(want), thresh)
+            W = int(win.i1.size)
+            interesting = win.interesting
             cursor = 0
             consumed = W
             while True:
-                while ei < len(events) and events[ei] < cursor:
-                    ei += 1
-                has = ei < len(events)
-                q = events[ei] if has else W
+                q = W
+                if cursor < W:
+                    q = cursor + int(interesting[cursor:].argmax())
+                    if not interesting[q]:
+                        q = W
                 gap = q - cursor
                 # the reference stops after the *reject* that lifts the
                 # stagnation count to `patience`, so at least one of the
@@ -477,39 +482,30 @@ class CSRRewiringCore:
                     break
                 stagnant += gap
                 performed += gap
-                if not has:
+                if q == W:
                     break  # window exhausted; consumed stays W
-                if pending[q]:
+                i1q, i2q = int(win.i1[q]), int(win.i2[q])
+                if win.pending[q]:
                     evaluated = self._scalar_attempt(
-                        int(i1[q]), float(c1[q]), int(i2[q]), float(c2[q])
-                    )
-                elif corner[q]:
-                    evaluated = (
-                        (int(x[q]), int(y[q]), int(a[q]), int(b[q]))
-                        + self._scalar_new_distance(
-                            int(x[q]), int(y[q]), int(a[q]), int(b[q])
-                        )
+                        i1q, float(win.c1[q]), i2q, float(win.c2[q])
                     )
                 else:
-                    lo = np.searchsorted(uk, q * K)
-                    hi = np.searchsorted(uk, (q + 1) * K)
-                    new_dist, class_delta = self._exact_from_entries(
-                        uk[lo:hi] - q * K, uv[lo:hi]
+                    nodes = (
+                        int(win.x[q]), int(win.y[q]), int(win.a[q]), int(win.b[q])
                     )
-                    evaluated = (
-                        int(x[q]), int(y[q]), int(a[q]), int(b[q]),
-                        new_dist, class_delta,
-                    )
+                    if win.corner[q]:
+                        scored = self._scalar_new_distance(*nodes)
+                    else:
+                        lo, hi = win.estart[q], win.estart[q + 1]
+                        scored = self._exact_from_entries(
+                            win.ecls[lo:hi], win.uv[lo:hi]
+                        )
+                    evaluated = nodes + scored
                 performed += 1
                 if evaluated is not None and evaluated[4] < self._distance:
                     xq, yq, aq, bq, new_dist, class_delta = evaluated
-                    old_tri = {
-                        k: float(self._class_tri[self._cls_by_degree[k]])
-                        for k in class_delta
-                    }
                     self._commit(
-                        int(i1[q]), int(i2[q]), xq, yq, aq, bq,
-                        new_dist, class_delta,
+                        i1q, i2q, xq, yq, aq, bq, new_dist, class_delta
                     )
                     accepted += 1
                     stagnant = 0
@@ -518,19 +514,9 @@ class CSRRewiringCore:
                         consumed = cursor
                         break
                     self._patch_window(
-                        q, i12, nmat, xq, yq, aq, bq,
-                        int(i1[q]), int(i2[q]),
-                        scored, pending, cs, uk, uv,
-                        class_delta, old_tri,
+                        win, q, (xq, yq, aq, bq), (i1q, i2q), class_delta,
+                        thresh,
                     )
-                    interesting = (
-                        (scored & nonzero & (cs < thresh))
-                        | corner | pending
-                    )
-                    events = (
-                        cursor + np.flatnonzero(interesting[cursor:])
-                    ).tolist()
-                    ei = 0
                 else:
                     stagnant += 1
                     if patience is not None and stagnant >= patience:
@@ -680,6 +666,45 @@ class CSRRewiringCore:
     # ------------------------------------------------------------------
     # vectorized window screening
     # ------------------------------------------------------------------
+    def _screen(self, i1, c1, i2, c2, thresh: float) -> _Window:
+        """Orient, validate and score one window of attempt draws.
+
+        Valid non-corner rows get their sparse per-class deltas from one
+        batched :meth:`_derive_sparse` call and a screened distance change
+        ``cs``; a row is interesting when ``cs`` could beat the current
+        distance (it has entries and ``cs < thresh``) or it is a corner
+        case for the scalar overlay.
+        """
+        K = self._K
+        W = int(i1.size)
+        x, y, a, b, static, valid, corner = self._orient_and_validate(
+            i1, c1, i2, c2
+        )
+        sidx = np.flatnonzero(valid & ~corner)
+        if sidx.size:
+            uk, uv = self._derive_sparse(x[sidx], y[sidx], a[sidx], b[sidx], sidx)
+        else:
+            uk = np.zeros(0, dtype=np.int64)
+            uv = np.zeros(0, dtype=np.float64)
+        win = _Window()
+        win.i1, win.c1, win.i2, win.c2 = i1, c1, i2, c2
+        win.x, win.y, win.a, win.b = x, y, a, b
+        win.corner = corner
+        win.uv = uv
+        win.erow = uk // K
+        win.ecls = uk % K
+        counts = np.bincount(win.erow, minlength=W)
+        win.estart = np.zeros(W + 1, dtype=np.int64)
+        np.cumsum(counts, out=win.estart[1:])
+        corr = self._entry_corr(win.ecls, uv, self._class_tri[win.ecls])
+        win.cs = np.bincount(win.erow, weights=corr, minlength=W)
+        rows = np.flatnonzero(static)
+        win.static_rows = rows
+        win.static_nodes = np.vstack((x[rows], y[rows], a[rows], b[rows]))
+        win.pending = np.zeros(W, dtype=bool)
+        win.interesting = ((counts > 0) & (win.cs < thresh)) | corner
+        return win
+
     def _pair_probe(
         self, U: np.ndarray, V: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -727,10 +752,14 @@ class CSRRewiringCore:
         Mirrors the reference attempt's sequential checks: orientation of
         the first edge by ``c1``, degree-match orientation of the second
         (tie broken by ``c2`` when both endpoints match), identity/loop
-        rejection, and the parallel-edge multiplicity test.  ``corner``
-        flags valid proposals with coincident endpoints, whose triangle
-        deltas interact across the four edge operations — those are scored
-        by the scalar overlay instead of the batched intersections.
+        rejection, and the parallel-edge multiplicity test.  ``static``
+        holds the checks that read no graph state — degree match,
+        ``i1 != i2``, ``x != a`` and the loop rule — so a row they reject
+        stays rejected until one of its candidate slots is rewritten;
+        ``valid`` adds the parallel-edge test.  ``corner`` flags valid
+        proposals with coincident endpoints, whose triangle deltas
+        interact across the four edge operations — those are scored by
+        the scalar overlay instead of the batched intersections.
         """
         cu, cv = self._cand_u, self._cand_v
         deg = self._deg
@@ -748,9 +777,10 @@ class CSRRewiringCore:
         swap = (both & (c2 < 0.5)) | (~both & (db == dx))
         a = np.where(swap, b0, a0)
         b = np.where(swap, a0, b0)
-        valid = (both | (da == dx) | (db == dx)) & (i2 != i1) & (x != a)
+        static = (both | (da == dx) | (db == dx)) & (i2 != i1) & (x != a)
         if self.forbid_loops:
-            valid &= (x != b) & (a != y)
+            static &= (x != b) & (a != y)
+        valid = static.copy()
         if self.forbid_parallel:
             can = np.flatnonzero(valid)
             if can.size:
@@ -761,7 +791,7 @@ class CSRRewiringCore:
         corner = valid & ((x == y) | (a == b) | (y == b))
         if not self.forbid_loops:
             corner |= valid & ((x == b) | (a == y))
-        return x, y, a, b, valid, corner
+        return x, y, a, b, static, valid, corner
 
     def _derive_sparse(
         self, X, Y, A, B, pid_out: np.ndarray
@@ -826,17 +856,18 @@ class CSRRewiringCore:
         keep = sums != 0.0
         return uk[keep], sums[keep]
 
-    def _entry_corr(self, uk: np.ndarray, vals: np.ndarray) -> np.ndarray:
-        """Screened correction ``|c'_k - t_k| - |c_k - t_k|`` per entry.
+    def _entry_corr(
+        self, cls: np.ndarray, vals: np.ndarray, S: np.ndarray
+    ) -> np.ndarray:
+        """Screened correction ``|c'_k - t_k| - |c_k - t_k|`` per entry,
+        given the triangle sum ``S`` of each entry's class.
 
         A proposal can only be accepted when its entries sum negative; the
         scan treats anything below ``SCREEN_EPS * norm`` as a potential
         accept and confirms it with the exact ascending-class evaluation.
         """
-        cls = uk % self._K
         den = self._denom_safe[cls]
         t = self._target_arr[cls]
-        S = self._class_tri[cls]
         corr = np.abs(2.0 * (S + vals) / den - t) - np.abs(2.0 * S / den - t)
         corr[~self._k_scored[cls]] = 0.0
         return corr
@@ -846,9 +877,11 @@ class CSRRewiringCore:
     ):
         """Evaluate one attempt from its raw draws by the reference path.
 
-        Used for window rows invalidated by an earlier accept: their
-        pre-computed orientation, validity, and delta entries may all be
-        stale, so the attempt is replayed exactly like the Python
+        Used for the window rows an earlier accept made ``pending`` (see
+        :meth:`_patch_window`): a row that draws a rewritten candidate slot
+        has stale endpoints, and a statically valid row sharing a node
+        with the swap may have a stale parallel-edge verdict and stale
+        delta entries, so the attempt is replayed exactly like the Python
         backend's ``_attempt`` against the live graph.  Returns ``None``
         for an invalid proposal, else ``(x, y, a, b, new_dist,
         class_delta)``.
@@ -885,59 +918,66 @@ class CSRRewiringCore:
         return x, y, a, b, new_dist, class_delta
 
     def _patch_window(
-        self, q, i12, nmat, xq, yq, aq, bq, i1q, i2q,
-        scored, pending, cs, uk, uv,
-        class_delta, old_tri,
+        self,
+        win: _Window,
+        q: int,
+        swap: tuple[int, int, int, int],
+        slots: tuple[int, int],
+        class_delta: dict[int, float],
+        thresh: float,
     ) -> None:
-        """Patch the window's screening state after an accept at ``q``.
+        """Update the window after the swap accepted at row ``q``.
 
-        Tail proposals referencing a rewritten candidate slot or sharing a
-        node with the swap become ``pending`` — treated as potential
-        accepts and replayed exactly by :meth:`_scalar_attempt` if the
-        scan reaches them.  Every other scored tail row keeps its exact
-        delta entries and only has its screened correction updated for the
-        degree classes whose triangle sums the accept moved.  All masks
-        are computed on the tail view only, so the patch is O(tail).
+        A tail row turns ``pending`` — replayed exactly by
+        :meth:`_scalar_attempt` if the scan reaches it — when it draws
+        one of the two rewritten candidate ``slots``, or when it passed
+        the state-independent checks and shares a node with ``swap``
+        (found by marking the four nodes in a node-sized array).  A row
+        those checks rejected stays rejected: degrees never change and its
+        endpoints move only with its slots.  Every other row keeps its
+        exact delta entries; only the entries in a degree class whose
+        triangle sum the swap moved get their screened correction redone,
+        and ``interesting`` is updated at the rows touched.
         """
-        K = self._K
         t0 = q + 1
-        ti = i12[:, t0:]
-        tn = nmat[:, t0:]
-        stale = ((ti == i1q) | (ti == i2q)).any(axis=0)
-        stale |= (
-            (tn == xq) | (tn == yq) | (tn == aq) | (tn == bq)
-        ).any(axis=0)
-        pending[t0:] |= stale
-        scored[t0:] &= ~stale
+        s1, s2 = slots
+        it1, it2 = win.i1[t0:], win.i2[t0:]
+        moved = (it1 == s1) | (it1 == s2) | (it2 == s1) | (it2 == s2)
+        stale = t0 + np.flatnonzero(moved)
+        j = int(np.searchsorted(win.static_rows, t0))
+        mark = self._swap_mark
+        mark[list(swap)] = True
+        near = mark[win.static_nodes[:, j:]].any(axis=0)
+        mark[list(swap)] = False
+        for rows in (stale, win.static_rows[j:][near]):
+            win.pending[rows] = True
+            win.interesting[rows] = True
 
-        cis, olds, news = [], [], []
+        changed, shifts = [], []
         for k, dS in class_delta.items():
-            if k < 2 or not dS:
-                continue
-            cis.append(self._cls_by_degree[k])
-            olds.append(old_tri[k])
-            news.append(old_tri[k] + dS)
-        if cis:
-            cis_arr = np.asarray(cis, dtype=np.int64)
-            den = self._denom_safe[cis_arr]
-            t = self._target_arr[cis_arr]
-            so = np.asarray(olds)
-            sn = np.asarray(news)
-            prows = q + 1 + np.flatnonzero(scored[q + 1 :])
-            if prows.size and uk.size:
-                probes = (prows[:, None] * K + cis_arr[None, :]).ravel()
-                pos = np.searchsorted(uk, probes)
-                np.minimum(pos, uk.size - 1, out=pos)
-                match = uk[pos] == probes
-                sub = np.where(match, uv[pos], 0.0)
-                sub = sub.reshape(prows.size, cis_arr.size)
-                d_old = np.abs(2.0 * (so + sub) / den - t) - np.abs(
-                    2.0 * so / den - t
-                )
-                d_new = np.abs(2.0 * (sn + sub) / den - t) - np.abs(
-                    2.0 * sn / den - t
-                )
-                cs[prows] += (d_new - d_old).sum(axis=1)
+            if k >= 2 and dS:
+                changed.append(self._cls_by_degree[k])
+                shifts.append(dS)
+        if not changed:
+            return
+        shift = self._class_shift
+        shift[changed] = shifts
+        e0 = int(win.estart[t0])
+        ent = e0 + np.flatnonzero(shift[win.ecls[e0:]])
+        ent = ent[~win.pending[win.erow[ent]]]
+        cls = win.ecls[ent]
+        rows = win.erow[ent]
+        v = win.uv[ent]
+        new = self._class_tri[cls]
+        # the triangle sums are integer-valued, so the pre-swap sum is exact
+        old = new - shift[cls]
+        shift[changed] = 0.0
+        np.add.at(
+            win.cs,
+            rows,
+            self._entry_corr(cls, v, new) - self._entry_corr(cls, v, old),
+        )
+        win.interesting[rows] = win.cs[rows] < thresh
 
     # ------------------------------------------------------------------
     # exact scalar evaluation + commit
