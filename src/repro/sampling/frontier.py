@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import random
 
-from repro.errors import SamplingError
+from repro.errors import BudgetExhaustedError, CrawlFaultError, SamplingError
 from repro.graph.multigraph import Node
 from repro.sampling.access import GraphAccess
-from repro.sampling.walkers import SamplingList
+from repro.sampling.walkers import SamplingList, teleport
 from repro.utils.rng import ensure_rng
 
 DEFAULT_DIMENSION = 8  # walker count used by Ribeiro & Towsley's evaluation
@@ -51,11 +51,20 @@ def frontier_sampling(
 
     Returns the usual :class:`SamplingList` of moved-walker positions, in
     move order — the format every estimator consumes.
+
+    Under an imperfect-crawler regime it degrades as
+    :func:`~repro.sampling.walkers.random_walk` does: a faulted query of a
+    walker's seed or of the node a moved walker steps onto teleports that
+    walker (see :func:`~repro.sampling.walkers.teleport`) — a teleport
+    after a move is recorded as that walker's move — and budget exhaustion
+    returns the partial walk.
     """
     if dimension < 1:
         raise SamplingError(f"dimension must be >= 1, got {dimension}")
     r = ensure_rng(rng)
     cap = max_steps if max_steps is not None else 1000 * max(target_queried, 1)
+    policy = access.fault_policy
+    lenient = policy is not None and not policy.is_null
 
     frontier: list[Node] = list(seeds or [])
     while len(frontier) < dimension:
@@ -64,11 +73,29 @@ def frontier_sampling(
 
     walk = SamplingList()
     degrees: list[int] = []
-    for node in frontier:
-        nbrs = access.query(node)
+    faulted = 0
+    for idx in range(dimension):
+        while True:
+            try:
+                nbrs = access.query(frontier[idx])
+                break
+            except CrawlFaultError:
+                # while the trace is empty a teleport draws a fresh seed,
+                # which can fault again; cap bounds a regime that has
+                # killed every seed it draws
+                faulted += 1
+                if faulted > cap:
+                    raise SamplingError(
+                        f"frontier sampling found no live seed in {cap} queries"
+                    ) from None
+                frontier[idx] = teleport(walk, access, r)
+            except BudgetExhaustedError:
+                if lenient and walk.nodes:
+                    return walk
+                raise
         if not nbrs:
-            raise SamplingError(f"frontier seed {node!r} has no edges")
-        walk.record(node, nbrs)
+            raise SamplingError(f"frontier seed {frontier[idx]!r} has no edges")
+        walk.record(frontier[idx], nbrs)
         degrees.append(len(nbrs))
     if access.num_queried >= target_queried:
         return walk
@@ -83,7 +110,15 @@ def frontier_sampling(
             idx += 1
         current = frontier[idx]
         nxt = r.choice(walk.neighbors[current])
-        nbrs = access.query(nxt)
+        try:
+            nbrs = access.query(nxt)
+        except CrawlFaultError:
+            nxt = teleport(walk, access, r)
+            nbrs = walk.neighbors[nxt]
+        except BudgetExhaustedError:
+            if lenient:
+                return walk
+            raise
         if not nbrs:
             raise SamplingError(f"walker stuck: node {nxt!r} has no edges")
         walk.record(nxt, nbrs)
@@ -91,6 +126,8 @@ def frontier_sampling(
         degrees[idx] = len(nbrs)
         if access.num_queried >= target_queried:
             return walk
+    if lenient:
+        return walk
     raise SamplingError(
         f"frontier sampling did not reach {target_queried} distinct nodes "
         f"within {cap} steps"

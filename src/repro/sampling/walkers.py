@@ -172,7 +172,7 @@ def _walk(
         try:
             nbrs = access.query(current)
         except CrawlFaultError:
-            current = r.choice(walk.nodes) if walk.nodes else access.random_seed(r)
+            current = teleport(walk, access, r)
             previous = None
             continue
         except BudgetExhaustedError:
@@ -193,6 +193,13 @@ def _walk(
     )
 
 
+def teleport(walk: SamplingList, access: GraphAccess, r: random.Random) -> Node:
+    """Where a walker goes after a faulted query: a uniformly random
+    position of the walk's trace, or a fresh uniform seed while the trace
+    is still empty.  Both draws come from the walk's own generator."""
+    return r.choice(walk.nodes) if walk.nodes else access.random_seed(r)
+
+
 def metropolis_hastings_random_walk(
     access: GraphAccess,
     target_queried: int,
@@ -205,14 +212,27 @@ def metropolis_hastings_random_walk(
     Proposes a uniform incident edge and accepts with ``min(1, d_u / d_v)``;
     rejections re-sample the current node.  Produces uniform node samples
     without re-weighting (useful as a cross-check of the re-weighted
-    estimators in tests and examples).
+    estimators in tests and examples).  Under an imperfect-crawler regime
+    it degrades exactly as :func:`random_walk` does: a faulted query — of
+    the current node or of the proposal — teleports the walker (see
+    :func:`teleport`), and budget exhaustion returns the partial walk.
     """
     r = ensure_rng(rng)
     cap = max_steps if max_steps is not None else 5000 * max(target_queried, 1)
     current = seed if seed is not None else access.random_seed(r)
+    policy = access.fault_policy
+    lenient = policy is not None and not policy.is_null
     walk = SamplingList()
     for _ in range(cap):
-        nbrs = access.query(current)
+        try:
+            nbrs = access.query(current)
+        except CrawlFaultError:
+            current = teleport(walk, access, r)
+            continue
+        except BudgetExhaustedError:
+            if lenient and walk.nodes:
+                return walk
+            raise
         if not nbrs:
             raise SamplingError(f"walk stuck: node {current!r} has no edges")
         walk.record(current, nbrs)
@@ -220,13 +240,23 @@ def metropolis_hastings_random_walk(
             return walk
         proposal = r.choice(nbrs)
         d_u = len(nbrs)
-        d_v = len(access.query(proposal))
+        try:
+            d_v = len(access.query(proposal))
+        except CrawlFaultError:
+            current = teleport(walk, access, r)
+            continue
+        except BudgetExhaustedError:
+            if lenient:
+                return walk
+            raise
         if access.num_queried >= target_queried:
             walk.record(proposal, access.query(proposal))
             return walk
         if d_v <= d_u or r.random() < d_u / d_v:
             current = proposal
         # else: stay at current (it will be re-recorded next iteration)
+    if lenient and walk.nodes:
+        return walk
     raise SamplingError(
         f"MH walk did not reach {target_queried} distinct nodes within {cap} steps"
     )

@@ -52,7 +52,11 @@ from repro.sampling.faults import (
     policy_from_knobs,
     spawn_fault_seed,
 )
-from repro.sampling.walkers import non_backtracking_random_walk
+from repro.sampling.frontier import frontier_sampling
+from repro.sampling.walkers import (
+    metropolis_hastings_random_walk,
+    non_backtracking_random_walk,
+)
 from repro.service.protocol import normalize_request, request_key
 
 
@@ -62,12 +66,27 @@ def _non_backtracking_crawl(access, target_queried, seed=None, rng=None):
     )
 
 
+def _metropolis_hastings_crawl(access, target_queried, seed=None, rng=None):
+    return crawl_result_from_walk(
+        metropolis_hastings_random_walk(access, target_queried, seed=seed, rng=rng)
+    )
+
+
+def _frontier_crawl(access, target_queried, seed=None, rng=None):
+    seeds = None if seed is None else [seed]
+    return crawl_result_from_walk(
+        frontier_sampling(access, target_queried, seeds=seeds, rng=rng)
+    )
+
+
 CRAWLERS = {
     "bfs": bfs_crawl,
     "snowball": snowball_crawl,
     "ff": forest_fire_crawl,
     "walk": random_walk_crawl,
     "nbrw": _non_backtracking_crawl,
+    "mh": _metropolis_hastings_crawl,
+    "frontier": _frontier_crawl,
 }
 
 _GRAPH_SEED = 5
