@@ -87,11 +87,12 @@ def test_bench_property_suite(benchmark):
 # AUTO threshold calibration: the kernel that still compares a size
 # ----------------------------------------------------------------------
 #: Rewiring is calibrated on its attempt budget ``rc x |edges|``, over
-#: several coefficients: the CSR core pays construction once and a window
-#: re-derivation per accepted swap, so its break-even budget moves with
-#: the share of attempts accepted, which differs between coefficients at
-#: the same budget.  The paper's rc = 500 is too slow for a calibration
-#: run; budgets stop at the cap below.
+#: several coefficients: the CSR core pays construction once and, per
+#: accepted swap, a scalar replay of each window row the swap made stale,
+#: so its break-even budget moves with the share of attempts accepted,
+#: which differs between coefficients at the same budget.  The paper's
+#: rc = 500 is too slow for a calibration run; budgets stop at the cap
+#: below.
 REWIRING_RCS = (1, 5, 10, 50)
 REWIRING_SIZES = (100, 200, 300, 500, 1_000, 2_000, 5_000, 10_000, 20_000, 50_000)
 REWIRING_MAX_ATTEMPTS = 250_000

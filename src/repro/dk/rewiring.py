@@ -30,14 +30,15 @@ by ``backend``:
   proposal at a time, scored with the sequential-overlay triangle deltas.
 * ``"csr"`` — :class:`repro.engine.rewiring_kernels.CSRRewiringCore`:
   proposals screened in vectorized numpy windows over an array adjacency,
-  with every potential accept confirmed by the same scalar scorer, so
-  accepted swaps, reports, and the resulting graph match the reference
-  for a fixed seed.
+  with every potential accept confirmed by the reference's exact
+  ascending-class evaluation, so accepted swaps, reports, and the
+  resulting graph match the reference for a fixed seed.
 * ``"auto"`` — ``csr`` when the run's attempt budget ``R`` reaches
   ``AUTO_KERNEL_THRESHOLDS["rewiring"]`` (see :mod:`repro.engine.dispatch`),
   ``python`` otherwise.  The budget, not the graph's size, decides: the
-  CSR core must pay back its construction and the window it re-derives
-  after every accept, and a run of few attempts never does.
+  CSR core must pay back its construction and, after every accept, the
+  scalar replay of each window row that accept made stale, and a run of
+  few attempts never does.
 
 Both cores draw proposals from the shared
 :class:`~repro.engine.rewiring_kernels.ProposalStream` (blocked draws from

@@ -43,10 +43,11 @@ BACKENDS: tuple[str, ...] = ("auto", "python", "csr")
 #: threshold; any kernel not named here resolves to ``csr``.  The one
 #: entry, ``rewiring``, is keyed on the run's attempt budget (``rc x
 #: |candidates|``, capped by ``max_attempts``), not on the graph: the CSR
-#: core must pay back its construction and the window it re-derives after
-#: every accepted swap.  The calibration in ``benchmarks/bench_core_ops.py``
-#: has put the break-even anywhere from ~10k to ~100k attempts: it moves
-#: with the share of attempts a climb accepts, and between reruns.
+#: core must pay back its construction and, after every accepted swap, the
+#: scalar replay of each window row that swap made stale.  The calibration
+#: in ``benchmarks/bench_core_ops.py`` has put the break-even anywhere from
+#: ~10k to ~100k attempts: it moves with the share of attempts a climb
+#: accepts, and between reruns.
 AUTO_KERNEL_THRESHOLDS: dict[str, int] = {"rewiring": 20_000}
 
 _freeze_cache: "weakref.WeakKeyDictionary[MultiGraph, tuple[int, CSRGraph]]" = (
