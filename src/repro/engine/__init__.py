@@ -8,9 +8,10 @@ implementation:
 * :mod:`repro.engine.kernels` — numpy/scipy kernels: degree vector, joint
   degree matrix, triangle counts and clustering coefficients, neighbor
   connectivity, and edgewise shared partners.
-* :mod:`repro.engine.bfs_kernels` — frontier-based BFS kernels: batched
-  level-synchronous shortest-path sweeps and Brandes betweenness
-  accumulation, replaying the reference floats bit for bit.
+* :mod:`repro.engine.bfs_kernels` — BFS kernels: the bit-parallel
+  multi-source shortest-path histogram (64 sources per machine word) and
+  batched level-synchronous Brandes betweenness accumulation, replaying
+  the reference floats bit for bit.
 * :mod:`repro.engine.dispatch` — :func:`resolve_backend`, which turns
   ``backend="auto" | "python" | "csr"`` into a concrete backend, and the
   freeze cache behind :func:`ensure_csr`.  Each :mod:`repro.metrics`
@@ -27,11 +28,7 @@ Walks are not an engine kernel: every crawler, over a ``MultiGraph`` or a
 snapshot alike, queries through :class:`repro.sampling.access.GraphAccess`.
 """
 
-from repro.engine.bfs_kernels import (
-    bfs_distance_block,
-    brandes_scores,
-    pair_length_histogram,
-)
+from repro.engine.bfs_kernels import brandes_scores, pair_length_histogram
 from repro.engine.csr import CSRGraph, freeze, thaw
 from repro.engine.dispatch import (
     AUTO_KERNEL_THRESHOLDS,
@@ -59,7 +56,6 @@ __all__ = [
     "ensure_csr",
     "resolve_backend",
     "ensure_generator",
-    "bfs_distance_block",
     "brandes_scores",
     "pair_length_histogram",
     "SharedSnapshot",

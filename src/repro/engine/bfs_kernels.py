@@ -1,13 +1,23 @@
-"""Frontier-based BFS kernels: batched shortest paths and Brandes sweeps.
+"""BFS kernels: bit-parallel path-length histograms and Brandes sweeps.
 
 The two most expensive global properties — the shortest-path triple
 (l̄, {P(l)}, l_max) and betweenness centrality — reduce to breadth-first
 search from many sources.  The pure-Python references in
 :mod:`repro.metrics.paths` / :mod:`repro.metrics.betweenness` pay
-interpreter overhead per edge per source; the kernels here expand a whole
-frontier per step with vectorized ``indptr``/``indices`` gathers and batch
-many sources at once (source-major composite ids ``b * n + v``), so the
-per-level Python overhead is amortized over every source in the block.
+interpreter overhead per edge per source; the kernels here advance many
+sources per vectorized step:
+
+* the path-length histogram is a multi-source BFS over bitsets (MS-BFS:
+  Then et al., "The More the Merrier: Efficient Multi-Source Graph
+  Traversal", PVLDB 8(4), 2014).  A block of ``B`` sources keeps
+  ``ceil(B / 64)`` ``uint64`` words of seen and frontier bits per node;
+  one level is one ``np.bitwise_or.reduceat`` of the frontier words over
+  the ``indices`` gather, and its count of newly reached (source, target)
+  pairs is a popcount, so each level's work is done once per word;
+* Brandes expands a whole frontier per step with vectorized
+  ``indptr``/``indices`` gathers, batching many sources at once
+  (source-major composite ids ``b * n + v``), so the per-level Python
+  overhead is amortized over every source in the block.
 
 Bit-exactness contract
 ----------------------
@@ -33,20 +43,23 @@ The Brandes kernel treats every edge slot as one edge, so callers must
 pass a *simple* snapshot (the metrics layer always freezes the simplified
 largest component; loops are harmless — a loop neighbor sits one level
 short of the DAG — but parallel slots would double sigma contributions).
-The distance kernels are multiplicity-insensitive and correct on any
+The histogram kernel is multiplicity-insensitive and correct on any
 snapshot.
 
-Memory is bounded by processing sources in blocks: distance state is
-``O(block x n)``, transient gathers and the retained per-level DAG edges
-are ``O(block x m)``; block sizes derive from a fixed entry budget so a
-``1e5``-edge graph batches a few dozen sources per sweep.
+Memory is bounded by processing sources in blocks.  A histogram block of
+``64 W`` sources holds ``n x W`` words of bits and gathers ``2m x W``
+words per level, with ``W`` derived from a fixed word budget (every one
+of a sampled evaluation's sources fits one block on the stand-ins).
+Brandes' distance state is ``O(block x n)``, its transient gathers and
+retained per-level DAG edges ``O(block x m)``.
 
-The kernels spend a small fixed overhead per BFS *level*, so they are
-built for the small-diameter graphs this project evaluates (social
-networks, diameter ``O(log n)``).  Work stays linear in edges on any
-input, but on pathological high-diameter graphs (long paths, lattices)
-the per-level overhead dominates and the scipy-backed ``python`` backend
-is the better choice — force ``backend="python"`` there.
+The kernels are built for the small-diameter graphs this project
+evaluates (social networks, diameter ``O(log n)``).  A Brandes level pays
+a small fixed overhead, and a histogram level costs ``O(2m x W)``
+however small its frontier, so on pathological high-diameter graphs
+(long paths, lattices) the per-level cost dominates and the scipy-backed
+``python`` backend is the better choice — force ``backend="python"``
+there.
 """
 
 from __future__ import annotations
@@ -58,11 +71,9 @@ from scipy.sparse import csgraph
 from repro.engine.csr import CSRGraph
 from repro.errors import EngineError
 
-#: Entry budget (array slots) for one BFS block: bounds both the
-#: ``block x n`` distance state and the ``block x 2m`` transient gathers.
-#: Deliberately small — the sweeps scatter/gather randomly into the block
-#: state, so keeping it cache-resident beats wider batching (measured on
-#: a 1.2e5-edge graph: 1M-entry blocks run ~30% faster than 8M).
+#: Word budget (``uint64`` entries) of one histogram block: bounds the
+#: ``2m x W`` gather of one level and the ``n x W`` bit state, so a block
+#: carries ``64 W`` sources with ``W = budget // max(2m, n)``.
 _DISTANCE_BLOCK_ENTRIES = 1_000_000
 
 #: Entry budget for one Brandes block, which additionally retains the
@@ -181,6 +192,11 @@ def _check_sources(csr: CSRGraph, sources: np.ndarray) -> np.ndarray:
     return src
 
 
+def _check_batch_size(batch_size: int | None) -> None:
+    if batch_size is not None and batch_size < 1:
+        raise EngineError(f"batch_size must be at least 1, got {batch_size}")
+
+
 #: Ceiling below which composite ids, slot positions, and queue ranks ride
 #: in int32 (halving the bandwidth of the block-sized intermediates); any
 #: block whose worst-case intermediate exceeds it takes the int64 tier
@@ -194,7 +210,7 @@ def _id_dtype(b: int, csr: CSRGraph) -> np.dtype:
 
     int32 whenever every intermediate fits: composite ids reach
     ``b * n``, and one level's gather can touch up to ``b * 2m`` slots.
-    The default block budgets stay far below the envelope, so only
+    The default block budget stays far below the envelope, so only
     explicit oversized ``batch_size`` requests or genuinely huge
     (``> 2**31`` node/slot) snapshots open the int64 tier.
     """
@@ -212,7 +228,6 @@ def _gather_frontier(
     indices_t: np.ndarray,
     frontier: np.ndarray,
     nodes: np.ndarray,
-    with_sources: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gather all neighbor slots of a composite frontier, in order.
 
@@ -229,151 +244,29 @@ def _gather_frontier(
         frontier member; every intermediate here inherits its dtype.
     nodes:
         ``frontier``'s plain node ids ``v`` (precomputed by the caller).
-    with_sources:
-        Also replicate the composite source id per gathered slot (needed
-        by the Brandes DAG construction; skipped for plain distances).
 
     Returns
     -------
     nbr, src_rep:
-        Composite neighbor id per gathered slot — and, when requested,
-        the composite source id per slot (otherwise an empty array) — in
-        ``frontier order x adjacency order``, the reference BFS's scan
+        Composite neighbor id and composite source id per gathered slot,
+        in ``frontier order x adjacency order``, the reference BFS's scan
         order, which the queue-order dedup and the sigma accumulation
         both rely on.
     """
     dt = frontier.dtype
     counts = indptr[nodes + 1] - indptr[nodes]
     total = int(counts.sum())
-    empty = np.empty(0, dtype=dt)
     if total == 0:
+        empty = np.empty(0, dtype=dt)
         return empty, empty
     # one fused repeat: row 0 carries the slot-offset correction that turns
     # a flat arange into per-node slot ranges, row 1 the composite base
-    # b * n (and row 2, when needed, the composite source id)
+    # b * n, row 2 the composite source id
     ends = np.cumsum(counts)
     offsets = (indptr[nodes] - (ends - counts)).astype(dt)
-    rows = (offsets, frontier - nodes, frontier) if with_sources else (
-        offsets,
-        frontier - nodes,
-    )
-    rep = np.repeat(np.stack(rows), counts, axis=1)
+    rep = np.repeat(np.stack((offsets, frontier - nodes, frontier)), counts, axis=1)
     slots = np.arange(total, dtype=dt) + rep[0]
-    nbr = rep[1] + indices_t[slots]
-    return nbr, (rep[2] if with_sources else empty)
-
-
-def bfs_distance_block(
-    csr: CSRGraph,
-    sources: np.ndarray,
-    *,
-    gather_slots: int | None = None,
-) -> np.ndarray:
-    """Level-synchronous BFS distances from a block of sources.
-
-    Parameters
-    ----------
-    csr:
-        Frozen snapshot (any multigraph; parallels and loops do not change
-        unweighted distances).
-    sources:
-        ``int64[B]`` positional source indices, one BFS per entry.
-    gather_slots:
-        Optional cap on the slots one neighbor gather may touch; frontiers
-        whose adjacency exceeds it are expanded in segments.  Bounds the
-        transient memory of a level at ``O(gather_slots)`` instead of
-        ``O(m)`` — the knob out-of-core (mmap-backed) evaluation uses.
-        Distances are segment-order independent, so results are identical.
-
-    Returns
-    -------
-    numpy.ndarray
-        ``int32[B, n]`` hop counts; unreachable nodes hold ``-1``.
-    """
-    src = _check_sources(csr, sources)
-    dt = _id_dtype(src.size, csr)
-    indices_t = csr.indices.astype(dt, copy=False)
-    return _distance_block(csr, src, indices_t, gather_slots=gather_slots)
-
-
-def _distance_block(
-    csr: CSRGraph,
-    src: np.ndarray,
-    indices_t: np.ndarray,
-    gather_slots: int | None = None,
-) -> np.ndarray:
-    n = csr.num_nodes
-    b = src.size
-    dt = indices_t.dtype
-    size = b * n
-    dist = np.full(size, -1, dtype=np.int32)
-    if b == 0 or n == 0:
-        return dist.reshape(b, n)
-    frontier = np.arange(b, dtype=dt) * n + src.astype(dt)
-    nodes = src.astype(dt)
-    dist[frontier] = 0
-    level = 0
-    indptr = csr.indptr
-    while frontier.size:
-        if gather_slots is not None:
-            fresh_total = _expand_sliced(
-                indptr, indices_t, frontier, nodes, dist, level + 1, gather_slots
-            )
-            if fresh_total == 0:
-                break
-            level += 1
-            frontier = np.flatnonzero(dist == level).astype(dt, copy=False)
-        else:
-            nbr, _ = _gather_frontier(indptr, indices_t, frontier, nodes, False)
-            fresh = nbr[dist[nbr] < 0]
-            if fresh.size == 0:
-                break
-            level += 1
-            dist[fresh] = level  # duplicate targets assign the same level
-            # next frontier: dedup via a sort of the fresh slots when they
-            # are few (high-diameter graphs: keeps each level linear in its
-            # edges) or one scan of the block state when they are not (flat
-            # expansions: cheaper than sorting a near-full gather)
-            if 8 * fresh.size < size:
-                frontier = np.unique(fresh)  # order irrelevant for distances
-            else:
-                frontier = np.flatnonzero(dist == level).astype(dt, copy=False)
-        nodes = frontier % dt.type(n)
-    return dist.reshape(b, n)
-
-
-def _expand_sliced(
-    indptr: np.ndarray,
-    indices_t: np.ndarray,
-    frontier: np.ndarray,
-    nodes: np.ndarray,
-    dist: np.ndarray,
-    level: int,
-    gather_slots: int,
-) -> int:
-    """Expand one BFS level in gather segments of at most ``gather_slots``.
-
-    Marks freshly discovered composite ids with ``level`` in ``dist`` and
-    returns how many there were.  Later segments observe earlier segments'
-    marks, so each node is discovered exactly once per level and the
-    distances are identical to an unsegmented expansion.
-    """
-    csum = np.cumsum(indptr[nodes + 1] - indptr[nodes])
-    found = 0
-    start = 0
-    while start < frontier.size:
-        base = int(csum[start - 1]) if start else 0
-        stop = int(np.searchsorted(csum, base + max(gather_slots, 1), side="right"))
-        stop = min(max(stop, start + 1), frontier.size)
-        nbr, _ = _gather_frontier(
-            indptr, indices_t, frontier[start:stop], nodes[start:stop], False
-        )
-        fresh = nbr[dist[nbr] < 0]
-        if fresh.size:
-            dist[fresh] = level
-            found += fresh.size
-        start = stop
-    return found
+    return rep[1] + indices_t[slots], rep[2]
 
 
 def pair_length_histogram(
@@ -386,23 +279,33 @@ def pair_length_histogram(
 ) -> tuple[np.ndarray, int]:
     """Histogram of positive finite BFS distances from ``sources``.
 
-    Streams the ``(num_sources, n)`` distance matrix through fixed-size
-    blocks so exact all-pairs sweeps never materialize it.
+    A bit-parallel multi-source BFS: a block of sources advances level by
+    level over per-node ``uint64`` bitsets, and each level adds the
+    popcount of its newly reached (source, target) bits to the histogram,
+    so even exact all-pairs sweeps never hold a distance matrix.
 
     Parameters
     ----------
     csr:
-        Frozen snapshot.
+        Frozen snapshot (any multigraph; parallels and loops do not change
+        unweighted distances).
     sources:
-        ``int64[S]`` positional BFS sources, in sampling order.
+        ``int64[S]`` positional BFS sources, in sampling order; a repeated
+        source counts once per occurrence.
     batch_size:
-        Sources per block; defaults to a fixed memory budget.
+        Sources per block, at least 1; a block of ``B`` sources keeps
+        ``ceil(B / 64)`` words per node.  Defaults to ``64 W`` sources,
+        ``W`` words filling the word budget.
     track_farthest:
-        Skip the per-block argmax bookkeeping when ``False`` (exact
-        sweeps never use it; saves one full scan per block).
+        Skip locating the farthest node when ``False`` (exact sweeps never
+        use it).
     gather_slots:
-        Per-level gather cap forwarded to the BFS (see
-        :func:`bfs_distance_block`); identical results, bounded transients.
+        Optional cap on the slots one level's gather may touch: the level
+        is expanded in row ranges whose slots fit the cap (a row larger
+        than the cap is a range by itself).  Bounds the transient memory
+        of a level at ``O(gather_slots x W)`` words instead of
+        ``O(m x W)`` — the knob out-of-core (mmap-backed) evaluation uses.
+        Identical results.
 
     Returns
     -------
@@ -412,54 +315,136 @@ def pair_length_histogram(
         pair is reachable).  ``farthest`` is the target-node index of the
         first maximal entry of the distance matrix in row-major order —
         the same node the reference's ``np.argmax`` double-sweep restarts
-        from — or ``-1`` when not tracked / no pair is reachable.
+        from, the first source itself when no pair is reachable — or
+        ``-1`` when not tracked or ``sources`` is empty.
     """
     src = _check_sources(csr, sources)
-    step = batch_size or _block_size(csr, src.size, _DISTANCE_BLOCK_ENTRIES)
-    dt = _id_dtype(min(step, max(src.size, 1)), csr)
-    indices_t = csr.indices.astype(dt, copy=False)
-    counts = np.zeros(1, dtype=np.int64)
-    best_val = -1
-    best_flat = -1
-    n = csr.num_nodes
+    _check_batch_size(batch_size)
+    words = _DISTANCE_BLOCK_ENTRIES // max(1, csr.indices.size, csr.num_nodes)
+    step = batch_size or 64 * max(1, words)
+    segments = _row_segments(csr, gather_slots)
+    totals = [0]
+    best_level = -1
+    farthest = -1
     for start in range(0, src.size, step):
-        block = _distance_block(
-            csr, src[start : start + step], indices_t, gather_slots=gather_slots
-        )
-        lengths = block[block > 0]
-        if lengths.size:
-            bc = np.bincount(lengths)
-            if bc.size > counts.size:
-                bc[: counts.size] += counts
-                counts = bc
-            else:
-                counts[: bc.size] += bc
-        if track_farthest:
-            flat = int(np.argmax(block))
-            val = int(block.reshape(-1)[flat])
-            if val > best_val:  # strict: earlier blocks win ties, like argmax
-                best_val = val
-                best_flat = start * n + flat
-    farthest = best_flat % n if best_flat >= 0 else -1
-    if counts.sum() == 0:
+        levels, last = _bitset_block(csr, src[start : start + step], segments)
+        totals.extend([0] * (len(levels) - len(totals)))
+        for level, found in enumerate(levels):
+            totals[level] += found
+        # strict: earlier blocks win ties, like the reference's argmax
+        if track_farthest and len(levels) - 1 > best_level:
+            best_level = len(levels) - 1
+            farthest = _first_bit_node(last)
+    if len(totals) == 1:
         return np.zeros(0, dtype=np.int64), farthest
-    return counts, farthest
+    return np.asarray(totals, dtype=np.int64), farthest
+
+
+#: One row range of a level's gather: ``(rows, nbrs, starts)``.
+_Segment = tuple[np.ndarray | slice, np.ndarray, np.ndarray]
+
+
+def _row_segments(csr: CSRGraph, gather_slots: int | None) -> list[_Segment]:
+    """Row ranges of one level's gather, as ``(rows, nbrs, starts)``.
+
+    One range holds every row unless ``gather_slots`` caps it; then
+    consecutive rows share a range while their slots fit the cap.
+    ``nbrs`` is the range's slice of ``indices``, and ``starts`` holds the
+    first slot of each row in ``rows``, relative to it.  ``rows`` leaves
+    out rows without slots, because ``reduceat`` returns an element even
+    for an empty segment.
+    """
+    indptr = csr.indptr
+    n = csr.num_nodes
+    segments: list[_Segment] = []
+    r = 0
+    while r < n:
+        stop = n
+        if gather_slots is not None:
+            fit = int(np.searchsorted(indptr, indptr[r] + gather_slots, "right")) - 1
+            stop = min(max(fit, r + 1), n)
+        rows: np.ndarray | slice = r + np.flatnonzero(np.diff(indptr[r : stop + 1]))
+        if rows.size == stop - r:
+            rows = slice(r, stop)
+        lo = int(indptr[r])
+        nbrs = csr.indices[lo : int(indptr[stop])]
+        if nbrs.size:
+            segments.append((rows, nbrs, indptr[rows] - lo))
+        r = stop
+    return segments
+
+
+def _bitset_block(
+    csr: CSRGraph,
+    src: np.ndarray,
+    segments: list[_Segment],
+) -> tuple[list[int], np.ndarray]:
+    """Bit-parallel BFS of one block of sources.
+
+    Source ``j`` of the block owns bit ``j % 64`` of word ``j // 64`` in
+    every node's row.  A level ORs each node's neighbors' frontier rows
+    together (one ``reduceat`` per row range) and keeps the bits not seen
+    before.
+
+    Returns
+    -------
+    levels, last:
+        The number of (source, target) pairs first reached at each level
+        (``levels[0] == 0``), and the bits of the last level that reached
+        any (the seeds when none did).
+    """
+    j = np.arange(src.size)
+    frontier = np.zeros((csr.num_nodes, -(-src.size // 64)), dtype=np.uint64)
+    # unbuffered OR: a buffered `frontier[src, w] |= bit` keeps only one of
+    # two bits that repeated sources set in the same word
+    bit = np.left_shift(np.uint64(1), (j & 63).astype(np.uint64))
+    np.bitwise_or.at(frontier, (src, j >> 6), bit)
+    unseen = ~frontier
+    levels = [0]
+    while True:
+        reach = np.zeros_like(frontier)
+        for rows, nbrs, starts in segments:
+            gathered = np.take(frontier, nbrs, axis=0)
+            reach[rows] = np.bitwise_or.reduceat(gathered, starts, axis=0)
+            del gathered  # one range's gather alive at a time
+        reach &= unseen
+        found = int(np.bitwise_count(reach).sum())
+        if not found:
+            return levels, frontier
+        levels.append(found)
+        unseen ^= reach
+        frontier = reach
+
+
+def _first_bit_node(bits: np.ndarray) -> int:
+    """Node carrying the lowest source bit set anywhere in ``bits``.
+
+    Among the (source, node) pairs of one level, that is the first in
+    row-major order of the block's distance matrix: the lowest source
+    reaching the level, then the lowest node it reaches there.
+    """
+    words = np.bitwise_or.reduce(bits, axis=0)
+    w = int(np.flatnonzero(words)[0])
+    low = int(words[w])
+    low &= -low
+    return int(np.flatnonzero(bits[:, w] & np.uint64(low))[0])
 
 
 def eccentricity(csr: CSRGraph, source: int) -> tuple[int, int]:
     """Eccentricity of ``source`` within its component.
+
+    The one-source call of :func:`pair_length_histogram`.
 
     Returns
     -------
     far, ecc:
         ``far`` is the first reachable node at maximal distance (ascending
         node order among ties, matching the reference's
-        ``finite[np.argmax(dist[finite])]``), ``ecc`` its hop count.
+        ``finite[np.argmax(dist[finite])]``), ``ecc`` its hop count; an
+        isolated source is its own farthest node, at 0 hops.
     """
-    dist = bfs_distance_block(csr, np.asarray([source], dtype=np.int64))[0]
-    reached = np.where(dist >= 0)[0]
-    far = int(reached[np.argmax(dist[reached])])
-    return far, int(dist[far])
+    counts, far = pair_length_histogram(csr, np.asarray([source], dtype=np.int64))
+    return far, max(counts.size - 1, 0)
 
 
 def brandes_scores(
@@ -484,7 +469,7 @@ def brandes_scores(
     sources:
         ``int64[S]`` positional pivot indices, in pivot-sampling order.
     batch_size:
-        Sources per block; defaults to a fixed memory budget.
+        Sources per block, at least 1; defaults to a fixed memory budget.
 
     Returns
     -------
@@ -494,6 +479,7 @@ def brandes_scores(
         (the source itself excluded), before any pivot scaling.
     """
     src = _check_sources(csr, sources)
+    _check_batch_size(batch_size)
     n = csr.num_nodes
     acc = np.zeros(n, dtype=np.float64)
     step = batch_size or _block_size(csr, src.size, _BRANDES_BLOCK_ENTRIES)
@@ -628,7 +614,7 @@ def _brandes_block(
     nodes = src.astype(dt)
     level = 0
     while frontier.size:
-        nbr, src_rep = _gather_frontier(indptr, indices_t, frontier, nodes, True)
+        nbr, src_rep = _gather_frontier(indptr, indices_t, frontier, nodes)
         dval = dist[nbr]
         if level:  # level 0 has no inbound DAG edges (and -1 means fresh)
             back = dval == level - 1

@@ -17,13 +17,13 @@ Two backends (the ``backend`` keyword, default ``"python"``):
 
 * ``python`` — scipy's C-level ``csgraph.shortest_path`` over the dense
   per-source distance matrix, the historical reference path;
-* ``csr`` — the frontier kernels in :mod:`repro.engine.bfs_kernels` on a
-  frozen snapshot of the component: level-synchronous expansion, batched
-  over many sources, streaming the length histogram so the distance matrix
-  is never materialized.  Bit-identical statistics by construction (the
-  distances are integers and the aggregation mirrors the reference
-  expressions operand for operand); ``auto`` picks the frontier kernels at
-  every size.
+* ``csr`` — the bit-parallel BFS of :mod:`repro.engine.bfs_kernels` on a
+  frozen snapshot of the component: 64 sources per machine word, each
+  level counting its newly reached pairs straight into the length
+  histogram, so the distance matrix is never materialized.  Bit-identical
+  statistics by construction (the distances are integers and the
+  aggregation mirrors the reference expressions operand for operand);
+  ``auto`` picks it at every size.
 
 The experiment harness flips to sampling above a configurable node count
 (see :class:`repro.metrics.suite.EvaluationConfig`);
@@ -81,7 +81,7 @@ def shortest_path_stats(
         Source-sampling randomness (consumed identically on every backend).
     backend:
         ``"python"`` (scipy reference), or ``"csr"`` / ``"auto"``
-        (frontier kernels).
+        (bit-parallel BFS kernel).
 
     Returns
     -------
@@ -153,7 +153,7 @@ def _csr_stats(
     num_sources: int | None,
     rng: random.Random | int | None,
 ) -> ShortestPathStats:
-    """Frontier-kernel twin of the scipy branch, same statistics bit for bit.
+    """Bit-parallel twin of the scipy branch, same statistics bit for bit.
 
     The simplify + largest-component prologue runs vectorized on the
     engine (:func:`repro.engine.bfs_kernels.simplified_lcc_snapshot`),

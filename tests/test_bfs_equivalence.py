@@ -24,9 +24,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csgraph
 
 from repro.engine import bfs_kernels
 from repro.engine.csr import freeze
+from repro.errors import EngineError
 from repro.graph.components import largest_connected_component
 from repro.graph.generators import powerlaw_cluster_graph
 from repro.graph.multigraph import MultiGraph
@@ -274,8 +276,9 @@ def test_betweenness_outside_lcc_is_absent(backend):
 
 
 def test_high_diameter_graph_equivalence():
-    # a long path exercises the many-tiny-level frontier rebuild (the
-    # sort-based branch) rather than the block-state scan
+    # a long path: thousands of levels, each a full bitset pass over every
+    # slot; slow on csr (the module docstring sends such graphs to python)
+    # but still exact
     g = MultiGraph.from_edges([(i, i + 1) for i in range(3000)])
     py = shortest_path_stats(g, num_sources=5, rng=2, backend="python")
     cs = shortest_path_stats(g, num_sources=5, rng=2, backend="csr")
@@ -293,7 +296,6 @@ def test_int64_tier_matches_int32(monkeypatch):
     csr = freeze(g)
     src = np.arange(0, 400, 7)
     narrow_hist = bfs_kernels.pair_length_histogram(csr, src, batch_size=16)
-    narrow_dist = bfs_kernels.bfs_distance_block(csr, src)
     simple = bfs_kernels.simplified_lcc_snapshot(csr)
     pivots = np.arange(0, simple.num_nodes, 7)
     narrow_brandes = bfs_kernels.brandes_scores(simple, pivots, batch_size=16)
@@ -303,13 +305,11 @@ def test_int64_tier_matches_int32(monkeypatch):
     monkeypatch.setattr(bfs_kernels, "_COMPOSITE_ENVELOPE", 1)
     assert bfs_kernels._id_dtype(1, csr) == np.int64
     wide_hist = bfs_kernels.pair_length_histogram(csr, src, batch_size=16)
-    wide_dist = bfs_kernels.bfs_distance_block(csr, src)
     wide_brandes = bfs_kernels.brandes_scores(simple, pivots, batch_size=16)
     wide_single = bfs_kernels.brandes_scores(simple, pivots, batch_size=1)
 
     assert np.array_equal(narrow_hist[0], wide_hist[0])
     assert narrow_hist[1] == wide_hist[1]
-    assert np.array_equal(narrow_dist, wide_dist)
     assert narrow_brandes.tobytes() == wide_brandes.tobytes()
     assert narrow_single.tobytes() == wide_single.tobytes()
 
@@ -329,10 +329,62 @@ def test_sliced_gather_matches_unbounded():
         )
         assert np.array_equal(full[0], sliced[0])
         assert full[1] == sliced[1]
-    assert np.array_equal(
-        bfs_kernels.bfs_distance_block(csr, src),
-        bfs_kernels.bfs_distance_block(csr, src, gather_slots=5),
+
+
+def _scipy_histogram(csr, sources) -> tuple[np.ndarray, int]:
+    """Oracle for ``pair_length_histogram``: scipy's distance matrix, its
+    positive finite entries binned, and its row-major first maximum."""
+    dist = csgraph.shortest_path(
+        csr.adjacency_matrix(), unweighted=True, indices=sources
     )
+    counts = np.bincount(dist[np.isfinite(dist) & (dist > 0)].astype(np.int64))
+    flat = np.where(np.isfinite(dist), dist, -1.0)
+    return counts, int(np.argmax(flat)) % csr.num_nodes
+
+
+@pytest.mark.parametrize("gather_slots", [None, 1, 7])
+@pytest.mark.parametrize("batch_size", [None, 1, 63, 64, 65])
+def test_histogram_second_word_source_is_farthest(batch_size, gather_slots):
+    # 65 sources span two words; only the last (bit 0 of the second word)
+    # reaches the far end of the path, at distance 119
+    csr = freeze(MultiGraph.from_edges([(i, i + 1) for i in range(119)]))
+    src = np.asarray([*range(40, 104), 0])
+    counts, farthest = bfs_kernels.pair_length_histogram(
+        csr, src, batch_size=batch_size, gather_slots=gather_slots
+    )
+    expected, expected_far = _scipy_histogram(csr, src)
+    assert expected_far == farthest == 119
+    assert np.array_equal(counts, expected)
+
+
+@given(st.integers(70, 200), st.integers(0, 2**31 - 1), st.data())
+@settings(max_examples=30, deadline=None)
+def test_histogram_multiword_blocks_match_scipy(n, seed, data):
+    # more than 64 sources, repeats allowed: blocks of several words, and
+    # bits of one word set twice at a repeated source's seed node
+    g = powerlaw_cluster_graph(n, 2, 0.3, rng=seed)
+    for u in data.draw(st.lists(st.integers(0, n - 1), max_size=4)):
+        g.add_edge(u, u)  # a loop, and a parallel of an existing edge
+        g.add_edge(u, next(g.neighbors(u)))
+    csr = freeze(g)
+    src = np.asarray(
+        data.draw(st.lists(st.integers(0, n - 1), min_size=65, max_size=n))
+    )
+    counts, farthest = bfs_kernels.pair_length_histogram(csr, src)
+    expected, expected_far = _scipy_histogram(csr, src)
+    assert np.array_equal(counts, expected)
+    assert farthest == expected_far
+
+
+@pytest.mark.parametrize("batch_size", [0, -1, -3])
+def test_batch_size_below_one_raises(batch_size):
+    # refused, not read as "no blocks" (no pairs, all-zero scores)
+    csr = freeze(powerlaw_cluster_graph(100, 2, 0.3, rng=1))
+    src = np.arange(10)
+    with pytest.raises(EngineError, match="batch_size"):
+        bfs_kernels.pair_length_histogram(csr, src, batch_size=batch_size)
+    with pytest.raises(EngineError, match="batch_size"):
+        bfs_kernels.brandes_scores(csr, src, batch_size=batch_size)
 
 
 # ----------------------------------------------------------------------

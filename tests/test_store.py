@@ -328,10 +328,6 @@ class TestKernelsOnStoredSnapshots:
         loaded = load_snapshot(save_snapshot(csr, tmp_path / "g.rcsr"), mode="mmap")
         assert loaded.indices.dtype == np.int32
         src = np.arange(0, csr.num_nodes, 5, dtype=np.int64)
-        assert np.array_equal(
-            bfs_kernels.bfs_distance_block(loaded, src),
-            bfs_kernels.bfs_distance_block(csr, src),
-        )
         hist_a, far_a = bfs_kernels.pair_length_histogram(loaded, src)
         hist_b, far_b = bfs_kernels.pair_length_histogram(csr, src)
         assert far_a == far_b
