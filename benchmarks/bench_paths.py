@@ -13,9 +13,10 @@ global properties:
   since the shortest-path property shares both caches).  The warm number
   carries the headline :data:`TARGET_SPEEDUP`; cold has its own bar.
 * **shortest-path sampling** — ``shortest_path_stats`` from the harness's
-  source sample.  scipy's C Dijkstra is a strong reference, so the bar
-  here is modest; the win is the shared prologue/snapshot plus never
-  materializing the dense per-source distance matrix.
+  source sample.  scipy's C Dijkstra runs one BFS per source; the csr
+  side's bit-parallel BFS advances 64 sources per machine word and counts
+  each level's new pairs straight into the histogram, so it must beat
+  scipy by :data:`PATHS_TARGET_SPEEDUP`.
 
 Exact backend agreement (bit-identical statistics, see
 ``tests/test_bfs_equivalence.py``) is asserted before any timing is
@@ -50,7 +51,7 @@ SOURCES = int(os.environ.get("BENCH_PATHS_SOURCES", "128"))
 
 TARGET_SPEEDUP = 3.0  # betweenness pivots, suite-warm caches
 COLD_TARGET_SPEEDUP = 2.0  # ... including freeze + prologue from scratch
-PATHS_TARGET_SPEEDUP = 1.0  # scipy's C Dijkstra is the bar to not lose to
+PATHS_TARGET_SPEEDUP = 5.0  # bit-parallel BFS vs one scipy BFS per source
 
 SEED = 5
 
