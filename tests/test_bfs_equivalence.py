@@ -22,7 +22,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csgraph
 
@@ -47,6 +47,36 @@ edge_lists = st.lists(
     st.tuples(st.integers(0, 13), st.integers(0, 13)), min_size=1, max_size=70
 )
 isolated = st.lists(st.integers(0, 19), min_size=0, max_size=4)
+
+# larger inputs for the Brandes pins: heavy-tailed clustered graphs, whose
+# sweeps run several levels and many tied shortest paths
+powerlaw_edges = st.builds(
+    lambda n, m, seed: list(powerlaw_cluster_graph(n, m, 0.3, rng=seed).edges()),
+    st.integers(60, 200),
+    st.integers(2, 4),
+    st.integers(0, 2**31 - 1),
+)
+brandes_edges = st.one_of(edge_lists, powerlaw_edges)
+
+
+def _hub_path_edges() -> list[tuple[int, int]]:
+    """A 120-leaf hub, a braided path of 30 levels, a 30-leaf tail hub.
+
+    Levels mix huge and tiny frontiers (a hub's leaves, then two braid
+    nodes a level), and every braid level doubles the number of shortest
+    paths through it, so sigma reaches ``2**30``.
+    """
+    edges = [(0, leaf) for leaf in range(1, 121)]
+    prev = [0]
+    for level in range(30):
+        pair = [121 + 2 * level, 122 + 2 * level]
+        edges += [(p, q) for p in prev for q in pair]
+        prev = pair
+    edges += [(prev[0], 181 + leaf) for leaf in range(30)]
+    return edges
+
+
+HUB_PATH_EDGES = _hub_path_edges()
 
 
 def build(edges, extra_nodes=()) -> MultiGraph:
@@ -125,7 +155,8 @@ def test_eccentricity_lower_bound_equivalence(edges, seed):
 # ----------------------------------------------------------------------
 # betweenness
 # ----------------------------------------------------------------------
-@given(edge_lists, isolated)
+@given(brandes_edges, isolated)
+@example(HUB_PATH_EDGES, [])
 def test_betweenness_exact_bitwise(edges, extra_nodes):
     g = build(edges, extra_nodes)
     py = betweenness_centrality(g, backend="python")
@@ -134,7 +165,8 @@ def test_betweenness_exact_bitwise(edges, extra_nodes):
     assert_bits_equal(py, cs)
 
 
-@given(edge_lists, st.integers(0, 2**31 - 1))
+@given(brandes_edges, st.integers(0, 2**31 - 1))
+@example(HUB_PATH_EDGES, 5)
 @settings(max_examples=60)
 def test_betweenness_pivots_bitwise(edges, seed):
     g = build(edges)
@@ -143,8 +175,9 @@ def test_betweenness_pivots_bitwise(edges, seed):
     assert_bits_equal(py, cs)
 
 
-@given(edge_lists)
-@settings(max_examples=40)
+@given(brandes_edges)
+@example(HUB_PATH_EDGES)
+@settings(max_examples=40, deadline=None)
 def test_brandes_scores_batch_size_invariant(edges):
     # the kernel's accumulation order must not depend on how sources are
     # blocked (single-source fast path included)
@@ -153,10 +186,11 @@ def test_brandes_scores_batch_size_invariant(edges):
         return
     csr = freeze(g)
     sources = np.arange(csr.num_nodes, dtype=np.int64)
-    blocked = [
-        bfs_kernels.brandes_scores(csr, sources, batch_size=k) for k in (1, 2, 5)
-    ]
-    assert blocked[0].tobytes() == blocked[1].tobytes() == blocked[2].tobytes()
+    blocked = {
+        bfs_kernels.brandes_scores(csr, sources, batch_size=k).tobytes()
+        for k in (1, 2, 7, None)
+    }
+    assert len(blocked) == 1
 
 
 # ----------------------------------------------------------------------
