@@ -16,8 +16,11 @@ sources per vectorized step:
   pairs is a popcount, so each level's work is done once per word;
 * Brandes expands a whole frontier per step with vectorized
   ``indptr``/``indices`` gathers, batching many sources at once
-  (source-major composite ids ``b * n + v``), so the per-level Python
-  overhead is amortized over every source in the block.
+  (source-major composite ids ``b * n + v``; one source is a block of
+  one), so the per-level Python overhead is amortized over every source
+  in the block.  Each level's queue order comes from a scatter-min of
+  slot positions (``np.minimum.at``, linear in the level's slots), and
+  every masked selection is an ``np.compress``.
 
 Bit-exactness contract
 ----------------------
@@ -30,8 +33,8 @@ Every kernel reproduces its reference *bit for bit* on a fixed seed:
 * Brandes dependency accumulation is genuinely order-sensitive float
   arithmetic.  The reference adds contributions to ``delta[u]`` over
   successors ``v`` in *reverse BFS-queue order*; the frontier kernel keeps
-  each level's frontier in BFS-queue order (first-occurrence dedup over
-  the ``frontier x adjacency`` gather), stores the level's DAG edges
+  each level's frontier in BFS-queue order (the first occurrence of each
+  id in the ``frontier x adjacency`` gather), stores the level's DAG edges
   sorted by the successor's queue position, and accumulates the reversed
   contribution stream with ``np.bincount`` — whose C kernel folds weights
   into each bin in input order, so the same IEEE additions happen in the
@@ -50,8 +53,16 @@ Memory is bounded by processing sources in blocks.  A histogram block of
 ``64 W`` sources holds ``n x W`` words of bits and gathers ``2m x W``
 words per level, with ``W`` derived from a fixed word budget (every one
 of a sampled evaluation's sources fits one block on the stand-ins).
-Brandes' distance state is ``O(block x n)``, its transient gathers and
-retained per-level DAG edges ``O(block x m)``.
+A Brandes block of ``b`` sources keeps 28 bytes per (source, node) pair:
+int32 distances, float64 sigma and dependencies, and intp queue
+positions.  One level's gather holds five intp words per slot at its
+peak (the three-row repeat, the slot positions and the neighbors), and
+the retained per-level DAG edges are ``O(b x m)``.  Ids are intp
+throughout, so no fancy index converts its operand; a snapshot with int32
+``indices`` (the store's zero-copy tier) passed straight to
+:func:`brandes_scores` pays one intp copy of ``indices`` per call, while
+the metrics layer always passes the int64 component snapshot of
+:func:`simplified_lcc_snapshot`.
 
 The kernels are built for the small-diameter graphs this project
 evaluates (social networks, diameter ``O(log n)``).  A Brandes level pays
@@ -77,9 +88,9 @@ from repro.errors import EngineError
 _DISTANCE_BLOCK_ENTRIES = 1_000_000
 
 #: Entry budget for one Brandes block, which additionally retains the
-#: per-level DAG edge arrays for the dependency back-propagation.  Large
-#: graphs land on single-source blocks (see ``_brandes_single``), which
-#: measured fastest; batching still pays off for the many-tiny-level
+#: per-level DAG edge arrays for the dependency back-propagation: a block
+#: carries ``budget // max(n, 2m)`` sources, at least one.  Large graphs
+#: land on single-source blocks; batching pays off for the many-tiny-level
 #: sweeps of small graphs.
 _BRANDES_BLOCK_ENTRIES = 250_000
 
@@ -185,6 +196,26 @@ def simplified_lcc_snapshot(csr: CSRGraph) -> CSRGraph:
     return out
 
 
+def _first_occurrences(values: np.ndarray) -> np.ndarray:
+    """Subsequence of ``values`` keeping the first occurrence of each value.
+
+    Vectorized first-occurrence dedup: a stable argsort (timsort: numpy's
+    radix sort serves only integers of 16 bits or fewer) groups
+    duplicates, the group heads map back to their original positions, and
+    re-sorting those positions restores encounter order.  Serves
+    :func:`simplified_lcc_snapshot`, whose one call per snapshot is not hot.
+    """
+    if values.size == 0:
+        return values
+    order = np.argsort(values, kind="stable")
+    ranked = values[order]
+    head = np.empty(ranked.size, dtype=bool)
+    head[0] = True
+    head[1:] = ranked[1:] != ranked[:-1]
+    first_pos = np.sort(order[head])
+    return values[first_pos]
+
+
 def _check_sources(csr: CSRGraph, sources: np.ndarray) -> np.ndarray:
     src = np.asarray(sources, dtype=np.int64).ravel()
     if src.size and (src.min() < 0 or src.max() >= csr.num_nodes):
@@ -197,76 +228,9 @@ def _check_batch_size(batch_size: int | None) -> None:
         raise EngineError(f"batch_size must be at least 1, got {batch_size}")
 
 
-#: Ceiling below which composite ids, slot positions, and queue ranks ride
-#: in int32 (halving the bandwidth of the block-sized intermediates); any
-#: block whose worst-case intermediate exceeds it takes the int64 tier
-#: instead.  Module-level so the int64 tier's equivalence tests can shrink
-#: it and drive small graphs down the wide path.
-_COMPOSITE_ENVELOPE = int(np.iinfo(np.int32).max)
-
-
-def _id_dtype(b: int, csr: CSRGraph) -> np.dtype:
-    """Id dtype for a block of ``b`` sources over ``csr``.
-
-    int32 whenever every intermediate fits: composite ids reach
-    ``b * n``, and one level's gather can touch up to ``b * 2m`` slots.
-    The default block budget stays far below the envelope, so only
-    explicit oversized ``batch_size`` requests or genuinely huge
-    (``> 2**31`` node/slot) snapshots open the int64 tier.
-    """
-    worst = b * max(1, csr.num_nodes, csr.indices.size)
-    return np.dtype(np.int32 if worst <= _COMPOSITE_ENVELOPE else np.int64)
-
-
 def _block_size(csr: CSRGraph, num_sources: int, budget: int) -> int:
     per_source = max(1, csr.num_nodes, 2 * csr.num_edges)
     return max(1, min(num_sources, budget // per_source))
-
-
-def _gather_frontier(
-    indptr: np.ndarray,
-    indices_t: np.ndarray,
-    frontier: np.ndarray,
-    nodes: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gather all neighbor slots of a composite frontier, in order.
-
-    Parameters
-    ----------
-    indptr:
-        The snapshot's ``int64`` row offsets.
-    indices_t:
-        The snapshot's slot endpoints cast to the block's id dtype (see
-        :func:`_id_dtype` — int32 whenever the block's intermediates fit,
-        halving their bandwidth, int64 on huge graphs or blocks).
-    frontier:
-        Composite node ids ``b * n + v`` in the block's id dtype, one per
-        frontier member; every intermediate here inherits its dtype.
-    nodes:
-        ``frontier``'s plain node ids ``v`` (precomputed by the caller).
-
-    Returns
-    -------
-    nbr, src_rep:
-        Composite neighbor id and composite source id per gathered slot,
-        in ``frontier order x adjacency order``, the reference BFS's scan
-        order, which the queue-order dedup and the sigma accumulation
-        both rely on.
-    """
-    dt = frontier.dtype
-    counts = indptr[nodes + 1] - indptr[nodes]
-    total = int(counts.sum())
-    if total == 0:
-        empty = np.empty(0, dtype=dt)
-        return empty, empty
-    # one fused repeat: row 0 carries the slot-offset correction that turns
-    # a flat arange into per-node slot ranges, row 1 the composite base
-    # b * n, row 2 the composite source id
-    ends = np.cumsum(counts)
-    offsets = (indptr[nodes] - (ends - counts)).astype(dt)
-    rep = np.repeat(np.stack((offsets, frontier - nodes, frontier)), counts, axis=1)
-    slots = np.arange(total, dtype=dt) + rep[0]
-    return rep[1] + indices_t[slots], rep[2]
 
 
 def pair_length_histogram(
@@ -480,128 +444,39 @@ def brandes_scores(
     """
     src = _check_sources(csr, sources)
     _check_batch_size(batch_size)
-    n = csr.num_nodes
-    acc = np.zeros(n, dtype=np.float64)
+    acc = np.zeros(csr.num_nodes, dtype=np.float64)
     step = batch_size or _block_size(csr, src.size, _BRANDES_BLOCK_ENTRIES)
-    dt = _id_dtype(min(step, max(src.size, 1)), csr)
-    indices_t = csr.indices.astype(dt, copy=False)
+    # every id below is intp, so no fancy index converts its operand
+    indices = csr.indices.astype(np.intp, copy=False)
     for start in range(0, src.size, step):
-        block = src[start : start + step]
-        if block.size == 1:
-            _brandes_single(csr, int(block[0]), acc, indices_t)
-        else:
-            _brandes_block(csr, block, acc, indices_t)
+        _brandes_block(csr.indptr, indices, src[start : start + step], acc)
     return acc
 
 
-def _first_occurrences(values: np.ndarray) -> np.ndarray:
-    """Subsequence of ``values`` keeping the first occurrence of each value.
-
-    Vectorized first-occurrence dedup: a stable argsort (radix on ints)
-    groups duplicates, the group heads map back to their original
-    positions, and re-sorting those positions restores encounter order —
-    exactly the order in which a FIFO BFS would enqueue the values.
-    """
-    if values.size == 0:
-        return values
-    order = np.argsort(values, kind="stable")
-    ranked = values[order]
-    head = np.empty(ranked.size, dtype=bool)
-    head[0] = True
-    head[1:] = ranked[1:] != ranked[:-1]
-    first_pos = np.sort(order[head])
-    return values[first_pos]
-
-
-def _brandes_single(
-    csr: CSRGraph, source: int, acc: np.ndarray, indices_t: np.ndarray
-) -> None:
-    """Single-source sweep: ``_brandes_block`` minus the composite-id layer.
-
-    Same arithmetic in the same order — node ids are their own composite
-    ids when the block holds one source, so the gather drops the base-id
-    row (``nbr`` reads straight off ``indices``) and the repeat's second
-    row directly carries each slot's owner queue position.  This is the
-    path large graphs take (the block budget resolves to one source), and
-    keeping its state arrays ``n``-sized is what makes the random
-    scatter/gather cache-resident.
-    """
-    n = csr.num_nodes
-    dt = indices_t.dtype
-    indptr = csr.indptr
-    dist = np.full(n, -1, dtype=np.int32)
-    sigma = np.zeros(n, dtype=np.float64)
-    qpos = np.empty(n, dtype=dt)
-    dist[source] = 0
-    sigma[source] = 1.0
-    qpos[source] = 0
-    fronts = [np.asarray([source], dtype=dt)]
-    rev_v: list[np.ndarray] = []
-    rev_u: list[np.ndarray] = []
-    rev_sigma_u: list[np.ndarray] = []
-    frontier = fronts[0]
-    level = 0
-    while frontier.size:
-        starts = indptr[frontier]
-        counts = indptr[frontier + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            break
-        ends = np.cumsum(counts)
-        offsets = (starts - (ends - counts)).astype(dt)
-        queue_ranks = np.arange(frontier.size, dtype=dt)
-        rep = np.repeat(np.stack((offsets, queue_ranks)), counts, axis=1)
-        nbr = indices_t[np.arange(total, dtype=dt) + rep[0]]
-        owner = rep[1]  # queue position of each slot's frontier member
-        dval = dist[nbr]
-        if level:  # level 0 has no inbound DAG edges (and -1 means fresh)
-            back = dval == level - 1
-            nbr_back = nbr[back]
-            rev_v.append(owner[back])
-            rev_u.append(qpos[nbr_back])
-            rev_sigma_u.append(sigma[nbr_back])
-        fwd = dval < 0
-        e_dst = nbr[fwd]
-        sigma_front = sigma[frontier]
-        frontier = _first_occurrences(e_dst)
-        if frontier.size == 0:
-            break
-        level += 1
-        dist[frontier] = level
-        qpos[frontier] = np.arange(frontier.size, dtype=dt)
-        sigma[frontier] += np.bincount(
-            qpos[e_dst], weights=sigma_front[owner[fwd]], minlength=frontier.size
-        )
-        fronts.append(frontier)
-
-    delta = np.zeros(n, dtype=np.float64)
-    for depth in range(len(rev_v), 0, -1):
-        front = fronts[depth]
-        prev_front = fronts[depth - 1]
-        coeff = (1.0 + delta[front]) / sigma[front]
-        contrib = rev_sigma_u[depth - 1] * coeff[rev_v[depth - 1]]
-        delta[prev_front] += np.bincount(
-            rev_u[depth - 1][::-1], weights=contrib[::-1], minlength=prev_front.size
-        )
-    delta[source] = 0.0
-    acc += delta
-
-
 def _brandes_block(
-    csr: CSRGraph, src: np.ndarray, acc: np.ndarray, indices_t: np.ndarray
+    indptr: np.ndarray, indices: np.ndarray, src: np.ndarray, acc: np.ndarray
 ) -> None:
-    n = csr.num_nodes
+    """Brandes sweeps from the sources ``src`` of one block, added to ``acc``.
+
+    Source ``j`` of the block owns the composite ids ``j * n + v``, and the
+    block's per-id state (distance, sigma, queue position, dependency)
+    holds ``b * n`` entries.  A level gathers every neighbor slot of its
+    frontier in ``frontier x adjacency`` order, the reference BFS's scan
+    order, with each slot's frontier queue rank carried alongside.
+    """
+    n = acc.size
     b = src.size
-    dt = indices_t.dtype
     size = b * n
-    indptr = csr.indptr
     dist = np.full(size, -1, dtype=np.int32)
     sigma = np.zeros(size, dtype=np.float64)
-    qpos = np.empty(size, dtype=dt)  # composite id -> queue position
-    roots = np.arange(b, dtype=dt) * n + src.astype(dt)
+    # composite id -> queue position within its level; ids no level has
+    # reached hold the sentinel, so a scatter-min of slot positions finds
+    # the first occurrence of each newly reached id
+    qpos = np.full(size, np.iinfo(np.intp).max, dtype=np.intp)
+    roots = np.arange(b, dtype=np.intp) * n + src
     dist[roots] = 0
     sigma[roots] = 1.0
-    qpos[roots] = np.arange(b, dtype=dt)
+    qpos[roots] = np.arange(b, dtype=np.intp)
     fronts = [roots]  # per level, the frontier in BFS-queue order
     # DAG edges into level L, harvested sort-free from level L's own
     # expansion gather: a gathered slot (v at L, u at L-1) is the reverse
@@ -611,34 +486,56 @@ def _brandes_block(
     rev_u: list[np.ndarray] = []  # u as queue position in fronts[L - 1]
     rev_sigma_u: list[np.ndarray] = []  # sigma[u], final at harvest time
     frontier = roots
-    nodes = src.astype(dt)
+    nodes = src
     level = 0
-    while frontier.size:
-        nbr, src_rep = _gather_frontier(indptr, indices_t, frontier, nodes)
+    while True:
+        starts = indptr[nodes]
+        counts = indptr[nodes + 1] - starts
+        ends = np.cumsum(counts)
+        total = int(ends[-1])
+        if total == 0:
+            break
+        # one fused repeat: row 0 turns a flat arange into per-node slot
+        # ranges, row 1 is the composite base b * n, row 2 the queue rank
+        # of the slot's frontier member
+        rep = np.repeat(
+            np.stack((starts - (ends - counts), frontier - nodes, np.arange(nodes.size))),
+            counts,
+            axis=1,
+        )
+        nbr = rep[1] + indices[np.arange(total) + rep[0]]
+        owner = rep[2]
         dval = dist[nbr]
         if level:  # level 0 has no inbound DAG edges (and -1 means fresh)
             back = dval == level - 1
-            nbr_back = nbr[back]
-            rev_v.append(qpos[src_rep[back]])
+            nbr_back = np.compress(back, nbr)
+            rev_v.append(np.compress(back, owner))
             rev_u.append(qpos[nbr_back])
             rev_sigma_u.append(sigma[nbr_back])
         # slots whose endpoint is still undiscovered are exactly the DAG
         # edges into the next level (gathered endpoints are never deeper),
         # in frontier x adjacency order — the reference's scan order
         fwd = dval < 0
-        e_dst = nbr[fwd]
-        frontier = _first_occurrences(e_dst)
-        if frontier.size == 0:
+        e_dst = np.compress(fwd, nbr)
+        if e_dst.size == 0:
             break
+        # a FIFO BFS enqueues each id at its first slot: keep the slots
+        # whose position is the smallest one scattered to their id
+        slot = np.arange(e_dst.size)
+        np.minimum.at(qpos, e_dst, slot)
+        sigma_front = sigma[frontier]
+        frontier = np.compress(qpos[e_dst] == slot, e_dst)
         level += 1
         dist[frontier] = level
-        qpos[frontier] = np.arange(frontier.size, dtype=dt)
+        qpos[frontier] = np.arange(frontier.size)
         # sigma is integer-exact in float64, so bincount order is free here
-        sigma[frontier] += np.bincount(
-            qpos[e_dst], weights=sigma[src_rep[fwd]], minlength=frontier.size
+        sigma[frontier] = np.bincount(
+            qpos[e_dst],
+            weights=sigma_front[np.compress(fwd, owner)],
+            minlength=frontier.size,
         )
         fronts.append(frontier)
-        nodes = frontier % dt.type(n)
+        nodes = frontier % n
 
     delta = np.zeros(size, dtype=np.float64)
     for depth in range(len(rev_v), 0, -1):

@@ -320,34 +320,6 @@ def test_high_diameter_graph_equivalence():
     assert cs.diameter == 3000
 
 
-def test_int64_tier_matches_int32(monkeypatch):
-    # blocks whose composite-id intermediates would overflow int32 used to
-    # be refused; they now ride the int64 tier.  Shrinking the envelope to
-    # nothing forces every block wide and must not change a single bit.
-    g = MultiGraph.from_edges(
-        [(i, (i * 7 + 1) % 400) for i in range(400)] + [(0, 1), (5, 5)]
-    )
-    csr = freeze(g)
-    src = np.arange(0, 400, 7)
-    narrow_hist = bfs_kernels.pair_length_histogram(csr, src, batch_size=16)
-    simple = bfs_kernels.simplified_lcc_snapshot(csr)
-    pivots = np.arange(0, simple.num_nodes, 7)
-    narrow_brandes = bfs_kernels.brandes_scores(simple, pivots, batch_size=16)
-    narrow_single = bfs_kernels.brandes_scores(simple, pivots, batch_size=1)
-    assert bfs_kernels._id_dtype(16, csr) == np.int32
-
-    monkeypatch.setattr(bfs_kernels, "_COMPOSITE_ENVELOPE", 1)
-    assert bfs_kernels._id_dtype(1, csr) == np.int64
-    wide_hist = bfs_kernels.pair_length_histogram(csr, src, batch_size=16)
-    wide_brandes = bfs_kernels.brandes_scores(simple, pivots, batch_size=16)
-    wide_single = bfs_kernels.brandes_scores(simple, pivots, batch_size=1)
-
-    assert np.array_equal(narrow_hist[0], wide_hist[0])
-    assert narrow_hist[1] == wide_hist[1]
-    assert narrow_brandes.tobytes() == wide_brandes.tobytes()
-    assert narrow_single.tobytes() == wide_single.tobytes()
-
-
 def test_sliced_gather_matches_unbounded():
     # gather_slots caps one level's transient gather (the out-of-core
     # evaluation knob); distances are segment-order independent
