@@ -368,7 +368,10 @@ def _bitset_block(
     while True:
         reach = np.zeros_like(frontier)
         for rows, nbrs, starts in segments:
-            gathered = np.take(frontier, nbrs, axis=0)
+            if nbrs.dtype == np.intp:
+                gathered = np.take(frontier, nbrs, axis=0)
+            else:  # take would first copy the range's int32 ids to intp
+                gathered = frontier[nbrs]
             reach[rows] = np.bitwise_or.reduceat(gathered, starts, axis=0)
             del gathered  # one range's gather alive at a time
         reach &= unseen
