@@ -55,6 +55,7 @@ from repro.engine.dispatch import resolve_backend
 from repro.engine.rewiring_kernels import (
     CSRRewiringCore,
     ProposalStream,
+    can_normalize,
     initial_candidates,
     normalized_l1_distance,
     proposal_triangle_deltas,
@@ -136,9 +137,11 @@ class RewiringEngine:
         self._rng = rng
         self._requested = backend
         self._candidates = initial_candidates(graph, protected_edges or set())
-        # the climb cannot move with fewer than two candidates, and an
-        # all-zero target leaves no distance to normalize by
-        self._climbs = len(self._candidates) >= 2 and sum(self._target.values()) > 0.0
+        # the climb cannot move with fewer than two candidates, nor from a
+        # target whose sum cannot normalize a distance (all zero, subnormal)
+        self._climbs = len(self._candidates) >= 2 and can_normalize(
+            sum(self._target.values())
+        )
         self._core: _PythonRewiringCore | CSRRewiringCore | None = None
 
     # ------------------------------------------------------------------

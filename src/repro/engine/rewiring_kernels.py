@@ -47,7 +47,9 @@ keeps the user-facing :class:`~repro.dk.rewiring.RewiringEngine` facade.
 
 from __future__ import annotations
 
+import math
 import random
+import sys
 
 import numpy as np
 
@@ -183,11 +185,26 @@ def initial_candidates(graph: MultiGraph, protected: set[Edge]) -> list[Edge]:
     return out
 
 
+def can_normalize(norm: float) -> bool:
+    """Whether a target's value sum ``norm`` can normalize an L1 distance.
+
+    Only a finite, positive *normal* float can.  A subnormal sum carries
+    too few significant bits to scale a distance by, and dividing by the
+    smallest ones overflows (``0.29 / 5e-324`` is ``inf``), so a climb
+    would start at ``inf`` and never accept.  A target whose sum cannot
+    normalize is treated like an all-zero one: distance 0, no climb.
+    """
+    return math.isfinite(norm) and norm >= sys.float_info.min
+
+
 def normalized_l1_distance(
     current: dict[int, float], target: dict[int, float], norm: float
 ) -> float:
-    """Normalized L1 distance between two sparse ``{c̄(k)}`` mappings."""
-    if norm <= 0.0:
+    """Normalized L1 distance between two sparse ``{c̄(k)}`` mappings.
+
+    0 when ``norm`` cannot normalize a distance (see :func:`can_normalize`).
+    """
+    if not can_normalize(norm):
         return 0.0
     keys = set(current) | set(target)
     return sum(abs(current.get(k, 0.0) - target.get(k, 0.0)) for k in keys) / norm
@@ -428,8 +445,9 @@ class CSRRewiringCore:
             The budget: ``rc x |candidates|`` attempts (the paper's ``R``)
             capped by ``max_attempts``, worked out by
             :class:`~repro.dk.rewiring.RewiringEngine`, which passes 0
-            when the climb cannot move (fewer than two candidates, or an
-            all-zero target).
+            when the climb cannot move (fewer than two candidates, or a
+            target whose sum cannot normalize a distance, see
+            :func:`can_normalize`).
         patience:
             Stop after this many consecutive rejections, ``None`` to run
             the full budget.

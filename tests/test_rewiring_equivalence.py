@@ -15,6 +15,7 @@ staleness machinery actually engage.
 from __future__ import annotations
 
 import math
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -138,6 +139,24 @@ def test_second_run_continues_identical_stream(edges, target, seed):
     assert math.isclose(
         r_py2.final_distance, r_csr2.final_distance, rel_tol=1e-12, abs_tol=1e-15
     )
+
+
+def test_subnormal_target_sum_is_handled_like_all_zero():
+    # a target summing to a subnormal cannot normalize a distance (the
+    # smallest overflows it to inf, after which nothing is ever accepted):
+    # both cores skip the climb, as for an all-zero target, and warn nothing
+    g = powerlaw_cluster_graph(60, 3, 0.3, rng=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        subnormal = run_both(g, {3: 5e-324}, seed=1, rc=20)
+        zero = run_both(g, {3: 0.0}, seed=1, rc=20)
+        tiny = run_both(g, {3: 1e-300}, seed=1, rc=20)
+    assert subnormal[2] == subnormal[3] == zero[2] == zero[3]
+    assert subnormal[2].attempts == 0
+    assert subnormal[2].initial_distance == 0.0
+    # a tiny but normal sum still climbs
+    assert_equivalent(*tiny)
+    assert tiny[2].accepted == 63
 
 
 def test_incremental_state_matches_fresh_recount():
