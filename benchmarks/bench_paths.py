@@ -49,8 +49,8 @@ DEGREE = int(os.environ.get("BENCH_PATHS_DEGREE", "6"))
 PIVOTS = int(os.environ.get("BENCH_PATHS_PIVOTS", "64"))
 SOURCES = int(os.environ.get("BENCH_PATHS_SOURCES", "128"))
 
-TARGET_SPEEDUP = 3.0  # betweenness pivots, suite-warm caches
-COLD_TARGET_SPEEDUP = 2.0  # ... including freeze + prologue from scratch
+TARGET_SPEEDUP = 6.0  # betweenness pivots, suite-warm caches
+COLD_TARGET_SPEEDUP = 5.0  # ... including freeze + prologue from scratch
 PATHS_TARGET_SPEEDUP = 5.0  # bit-parallel BFS vs one scipy BFS per source
 
 SEED = 5
