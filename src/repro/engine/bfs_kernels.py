@@ -55,9 +55,10 @@ words per level, with ``W`` derived from a fixed word budget (every one
 of a sampled evaluation's sources fits one block on the stand-ins).
 A Brandes block of ``b`` sources keeps 28 bytes per (source, node) pair:
 int32 distances, float64 sigma and dependencies, and intp queue
-positions.  One level's gather holds five intp words per slot at its
-peak (the three-row repeat, the slot positions and the neighbors), and
-the retained per-level DAG edges are ``O(b x m)``.  Ids are intp
+positions.  One level holds two intp words per gathered slot (the
+neighbor and its frontier member's queue rank) besides the distances
+read there and the compressed backward and forward slots, and the
+retained per-level DAG edges are ``O(b x m)``.  Ids are intp
 throughout, so no fancy index converts its operand; a snapshot with int32
 ``indices`` (the store's zero-copy tier) passed straight to
 :func:`brandes_scores` pays one intp copy of ``indices`` per call, while
@@ -498,16 +499,12 @@ def _brandes_block(
         total = int(ends[-1])
         if total == 0:
             break
-        # one fused repeat: row 0 turns a flat arange into per-node slot
-        # ranges, row 1 is the composite base b * n, row 2 the queue rank
-        # of the slot's frontier member
-        rep = np.repeat(
-            np.stack((starts - (ends - counts), frontier - nodes, np.arange(nodes.size))),
-            counts,
-            axis=1,
-        )
-        nbr = rep[1] + indices[np.arange(total) + rep[0]]
-        owner = rep[2]
+        # per-slot rows built one at a time, so that at most two are alive:
+        # the slot positions (a flat arange shifted to each row's range),
+        # the composite base b * n, and the frontier member's queue rank
+        nbr = indices[np.repeat(starts - (ends - counts), counts) + np.arange(total)]
+        nbr += np.repeat(frontier - nodes, counts)
+        owner = np.repeat(np.arange(nodes.size), counts)
         dval = dist[nbr]
         if level:  # level 0 has no inbound DAG edges (and -1 means fresh)
             back = dval == level - 1
