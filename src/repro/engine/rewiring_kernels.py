@@ -188,11 +188,11 @@ def initial_candidates(graph: MultiGraph, protected: set[Edge]) -> list[Edge]:
 def can_normalize(norm: float) -> bool:
     """Whether a target's value sum ``norm`` can normalize an L1 distance.
 
-    Only a finite, positive *normal* float can.  A subnormal sum carries
+    It must be a finite, positive *normal* float.  A subnormal sum carries
     too few significant bits to scale a distance by, and dividing by the
     smallest ones overflows (``0.29 / 5e-324`` is ``inf``), so a climb
-    would start at ``inf`` and never accept.  A target whose sum cannot
-    normalize is treated like an all-zero one: distance 0, no climb.
+    would start at ``inf`` and never accept.  A target whose sum fails
+    this test is treated like an all-zero one: distance 0, no climb.
     """
     return math.isfinite(norm) and norm >= sys.float_info.min
 

@@ -180,7 +180,7 @@ def test_betweenness_pivots_bitwise(edges, seed):
 @settings(max_examples=40, deadline=None)
 def test_brandes_scores_batch_size_invariant(edges):
     # the kernel's accumulation order must not depend on how sources are
-    # blocked (single-source fast path included)
+    # blocked (blocks of one source included)
     g = largest_connected_component(simplified(build(edges)))
     if g.num_nodes <= 2:
         return
