@@ -13,9 +13,11 @@ Gjoka et al. procedure:
 
 * a *protected* edge set (the sampled subgraph's edges) excluded from the
   candidate pool, so rewiring can never disturb the observed structure, and
-* incremental triangle bookkeeping — per-node triangle counts and per-class
-  sums are updated in O(k̄) per proposal instead of recounting, which is
-  what makes ``R = RC x |candidates|`` attempts tractable.
+* incremental triangle bookkeeping — a proposal's triangle change is
+  computed in O(k̄) from the common neighbors of the edges it touches, and
+  only the per-degree-class triangle sums are kept and updated on accept,
+  instead of recounting, which is what makes ``R = RC x |candidates|``
+  attempts tractable.
 
 The number of attempts is ``R = rc x |candidate edges|`` with ``rc = 500``
 in the paper (configurable; docs/BENCHMARKS.md lists the smaller values
@@ -27,7 +29,8 @@ Backends
 by ``backend``:
 
 * ``"python"`` — the reference dict-based core in this module: one
-  proposal at a time, scored with the sequential-overlay triangle deltas.
+  proposal at a time, scored by
+  :func:`~repro.engine.rewiring_kernels.proposal_triangle_deltas`.
 * ``"csr"`` — :class:`repro.engine.rewiring_kernels.CSRRewiringCore`:
   proposals screened in vectorized numpy windows over an array adjacency,
   with every potential accept confirmed by the reference's exact

@@ -40,9 +40,12 @@ reference implementation:
     them, and the other rows' screened corrections are redone only for
     their delta entries in the degree classes the swap changed.
 
-The scalar overlay machinery (`proposal_triangle_deltas`) lives here, at
-module level, so both backends share one definition; ``dk/rewiring.py``
-keeps the user-facing :class:`~repro.dk.rewiring.RewiringEngine` facade.
+The scalar scorer :func:`proposal_triangle_deltas` lives here, at module
+level, so both backends share one definition: a closed form over the
+common neighbors of the four pairs a swap touches when its endpoints are
+distinct, and the sequential overlay, the reference it must match, when
+they coincide.  ``dk/rewiring.py`` keeps the user-facing
+:class:`~repro.dk.rewiring.RewiringEngine` facade.
 """
 
 from __future__ import annotations
@@ -275,7 +278,7 @@ def _apply_edge_delta(
     overlay[canonical_edge(u, v)] = _overlay_get(overlay, u, v) + sign
 
 
-def proposal_triangle_deltas(
+def _overlay_triangle_deltas(
     graph: MultiGraph, x: Node, y: Node, a: Node, b: Node
 ) -> dict[Node, float]:
     """Per-node triangle deltas of a swap, via a sequential overlay.
@@ -283,9 +286,9 @@ def proposal_triangle_deltas(
     Edges are removed/added one at a time against the *current* overlaid
     adjacency, which handles every multiplicity corner case (shared
     endpoints, adjacent edge pairs) without recounting.  This is the
-    reference scorer: the Python backend calls it for every surviving
-    proposal, the CSR backend for corner-case proposals and to confirm
-    (with exact arithmetic) every screened potential accept.
+    reference scorer: :func:`proposal_triangle_deltas` uses it for swaps
+    with coincident endpoints, and its closed form for four distinct
+    endpoints must agree with it exactly.
     """
     overlay: dict[Edge, int] = {}
     delta: dict[Node, float] = {}
@@ -294,6 +297,81 @@ def proposal_triangle_deltas(
     _apply_edge_delta(graph, x, b, +1, overlay, delta)
     _apply_edge_delta(graph, a, y, +1, overlay, delta)
     return delta
+
+
+def _fold_common(
+    adj_u: dict[Node, int],
+    adj_v: dict[Node, int],
+    u: Node,
+    v: Node,
+    sign: float,
+    delta: dict[Node, float],
+) -> float:
+    """Fold ``sign * A_uw A_vw`` into ``delta[w]`` for every common
+    neighbor ``w`` of ``u`` and ``v`` other than ``u``, ``v``; return the
+    unsigned sum (iterating the smaller neighborhood, probing the larger).
+    """
+    if len(adj_u) > len(adj_v):
+        adj_u, adj_v = adj_v, adj_u
+    common = 0.0
+    for w, mult_uw in adj_u.items():
+        mult_vw = adj_v.get(w)
+        if mult_vw is None or w == u or w == v:
+            continue
+        contrib = mult_uw * mult_vw
+        common += contrib
+        delta[w] = delta.get(w, 0.0) + sign * contrib
+    return common
+
+
+def _closed_form_triangle_deltas(
+    graph: MultiGraph, x: Node, y: Node, a: Node, b: Node
+) -> dict[Node, float]:
+    """The overlay's per-node deltas in closed form, for four distinct
+    endpoints.
+
+    Each of the four edge operations changes the triangles through the
+    common neighbors of its pair.  The removals see the live adjacency;
+    the additions see ``(x, y)`` and ``(a, b)`` one copy lower, which
+    with distinct endpoints lowers two products of each addition: for
+    ``(x, b)``, ``A_xy A_by`` at ``w = y`` loses ``A_by`` and
+    ``A_xa A_ab`` at ``w = a`` loses ``A_xa``; for ``(a, y)``,
+    ``A_ab A_by`` at ``w = b`` loses ``A_by`` and ``A_xa A_xy`` at
+    ``w = x`` loses ``A_xa``.  The values are integer-valued floats,
+    equal to the overlay's in any summation order.
+    """
+    adj = graph.adjacency_view
+    adj_x, adj_y, adj_a, adj_b = adj(x), adj(y), adj(a), adj(b)
+    delta: dict[Node, float] = {}
+    i_xy = _fold_common(adj_x, adj_y, x, y, -1.0, delta)
+    i_ab = _fold_common(adj_a, adj_b, a, b, -1.0, delta)
+    m_xa = adj_x.get(a, 0)
+    m_by = adj_b.get(y, 0)
+    c_xb = _fold_common(adj_x, adj_b, x, b, 1.0, delta) - m_by - m_xa
+    c_ay = _fold_common(adj_a, adj_y, a, y, 1.0, delta) - m_by - m_xa
+    delta[x] = delta.get(x, 0.0) - i_xy + c_xb - m_xa
+    delta[y] = delta.get(y, 0.0) - i_xy + c_ay - m_by
+    delta[a] = delta.get(a, 0.0) - i_ab + c_ay - m_xa
+    delta[b] = delta.get(b, 0.0) - i_ab + c_xb - m_by
+    return delta
+
+
+def proposal_triangle_deltas(
+    graph: MultiGraph, x: Node, y: Node, a: Node, b: Node
+) -> dict[Node, float]:
+    """Per-node triangle deltas of ``remove (x, y), (a, b); add (x, b),
+    (a, y)``, the scorer both cores share.
+
+    Swaps with four distinct endpoints, almost all of them, are scored in
+    closed form; coincident endpoints (loops, ``y == b``, and ``x == b``
+    or ``a == y`` when loops are allowed) by the sequential overlay.  The
+    nonzero entries are the overlay's either way.  The Python core calls
+    it for every valid proposal, the CSR core for corner-case proposals
+    and for window rows an accept made stale.
+    """
+    if len({x, y, a, b}) < 4:
+        return _overlay_triangle_deltas(graph, x, y, a, b)
+    return _closed_form_triangle_deltas(graph, x, y, a, b)
 
 
 # ----------------------------------------------------------------------

@@ -18,9 +18,10 @@ import math
 import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import repro.engine.rewiring_kernels as rk
 from repro.dk.dk_series import generate_2k
 from repro.dk.rewiring import RewiringEngine
 from repro.graph.generators import powerlaw_cluster_graph
@@ -157,6 +158,65 @@ def test_subnormal_target_sum_is_handled_like_all_zero():
     # a tiny but normal sum still climbs
     assert_equivalent(*tiny)
     assert tiny[2].accepted == 63
+
+
+def nonzero(delta):
+    return {node: dt for node, dt in delta.items() if dt}
+
+
+def assert_closed_form_matches_overlay(g, x, y, a, b):
+    closed = rk._closed_form_triangle_deltas(g, x, y, a, b)
+    overlay = rk._overlay_triangle_deltas(g, x, y, a, b)
+    assert nonzero(closed) == nonzero(overlay)
+
+
+@given(edge_lists, st.data())
+@settings(max_examples=200, deadline=None)
+def test_closed_form_deltas_match_overlay(edges, data):
+    # the closed form must return the overlay's nonzero per-node deltas
+    # exactly, parallel edges and loops elsewhere in the graph included
+    g = MultiGraph.from_edges(edges)
+    pairs = list(g.edges())
+    index = st.integers(0, len(pairs) - 1)
+    x, y = pairs[data.draw(index)][:: data.draw(st.sampled_from([1, -1]))]
+    a, b = pairs[data.draw(index)][:: data.draw(st.sampled_from([1, -1]))]
+    assume(len({x, y, a, b}) == 4)
+    assert_closed_form_matches_overlay(g, x, y, a, b)
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        # A_xy = 2 and y in N(b): (x, b) meets y through one copy of (x, y)
+        [(0, 1), (0, 1), (2, 3), (3, 1), (1, 4), (4, 0), (4, 3), (0, 3), (3, 3)],
+        # A_xa > 0: (x, b) meets a, (a, y) meets x, through one copy of
+        # (a, b) and of (x, y) respectively
+        [(0, 1), (2, 3), (0, 2), (0, 2), (2, 1), (1, 3), (0, 3), (4, 0), (4, 3)],
+    ],
+)
+def test_closed_form_corrections(edges):
+    g = MultiGraph.from_edges(edges)
+    assert_closed_form_matches_overlay(g, 0, 1, 2, 3)
+    assert_closed_form_matches_overlay(g, 1, 0, 3, 2)
+
+
+@pytest.mark.parametrize(
+    "x, y, a, b",
+    [(0, 0, 1, 2), (0, 1, 2, 2), (0, 1, 2, 1), (0, 1, 2, 0), (0, 1, 1, 2)],
+)
+def test_coincident_endpoints_are_scored_by_the_overlay(monkeypatch, x, y, a, b):
+    # loops, y == b, and x == b / a == y (loops allowed) share nodes
+    # between the four edge operations: the overlay scores them
+    g = MultiGraph.from_edges(
+        [(0, 0), (0, 1), (1, 2), (2, 2), (2, 0), (1, 3), (3, 0), (3, 2)]
+    )
+    reference = rk._overlay_triangle_deltas(g, x, y, a, b)
+
+    def refuse(*args):
+        raise AssertionError("closed form used for coincident endpoints")
+
+    monkeypatch.setattr(rk, "_closed_form_triangle_deltas", refuse)
+    assert rk.proposal_triangle_deltas(g, x, y, a, b) == reference
 
 
 def test_incremental_state_matches_fresh_recount():
