@@ -60,7 +60,7 @@ from repro.engine.rewiring_kernels import (
     ProposalStream,
     can_normalize,
     initial_candidates,
-    normalized_l1_distance,
+    initial_distance,
     proposal_triangle_deltas,
 )
 from repro.graph.multigraph import MultiGraph, Node
@@ -141,7 +141,8 @@ class RewiringEngine:
         self._requested = backend
         self._candidates = initial_candidates(graph, protected_edges or set())
         # the climb cannot move with fewer than two candidates, nor from a
-        # target whose sum cannot normalize a distance (all zero, subnormal)
+        # target whose sum cannot normalize a distance (all zero, subnormal;
+        # a core also finds a sum too small for its initial distance)
         self._climbs = len(self._candidates) >= 2 and can_normalize(
             sum(self._target.values())
         )
@@ -250,10 +251,9 @@ class _PythonRewiringCore:
             k = self._degree[node]
             self._class_tri[k] = self._class_tri.get(k, 0.0) + t
 
-        self._norm = sum(self.target.values())
         self._candidates = candidates
-        self._distance = normalized_l1_distance(
-            self.clustering_by_degree(), self.target, self._norm
+        self._norm, self._distance = initial_distance(
+            self.clustering_by_degree(), self.target
         )
         self._stream = ProposalStream(rng, len(candidates))
 
@@ -262,6 +262,8 @@ class _PythonRewiringCore:
         return self._distance
 
     def run(self, attempts: int, patience: int | None) -> RewiringReport:
+        if not self._norm:
+            attempts = 0  # the target cannot normalize the distance
         initial = self._distance
         accepted = 0
         performed = 0

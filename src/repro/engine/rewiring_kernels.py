@@ -193,24 +193,35 @@ def can_normalize(norm: float) -> bool:
 
     It must be a finite, positive *normal* float.  A subnormal sum carries
     too few significant bits to scale a distance by, and dividing by the
-    smallest ones overflows (``0.29 / 5e-324`` is ``inf``), so a climb
-    would start at ``inf`` and never accept.  A target whose sum fails
-    this test is treated like an all-zero one: distance 0, no climb.
+    smallest ones overflows (``0.29 / 5e-324`` is ``inf``).  A normal sum
+    can still be too small for the L1 it divides (``4.59 / 2.5e-308`` is
+    ``inf``), which only the initial distance shows, so that distance must
+    be finite too (:func:`initial_distance`).  A climb from ``inf`` never
+    accepts: a target failing either test is treated like an all-zero
+    one, distance 0 and no climb.
     """
     return math.isfinite(norm) and norm >= sys.float_info.min
 
 
-def normalized_l1_distance(
-    current: dict[int, float], target: dict[int, float], norm: float
-) -> float:
-    """Normalized L1 distance between two sparse ``{c̄(k)}`` mappings.
+def initial_distance(
+    current: dict[int, float], target: dict[int, float]
+) -> tuple[float, float]:
+    """``(norm, distance)`` of a climb from ``current`` toward ``target``.
 
-    0 when ``norm`` cannot normalize a distance (see :func:`can_normalize`).
+    ``norm`` is the target's value sum and ``distance`` the normalized L1
+    distance between the two sparse ``{c̄(k)}`` mappings; both are 0 when
+    the sum cannot normalize that distance (see :func:`can_normalize`),
+    and a core whose norm is 0 performs no attempt.
     """
+    norm = sum(target.values())
     if not can_normalize(norm):
-        return 0.0
+        return 0.0, 0.0
     keys = set(current) | set(target)
-    return sum(abs(current.get(k, 0.0) - target.get(k, 0.0)) for k in keys) / norm
+    l1 = sum(abs(current.get(k, 0.0) - target.get(k, 0.0)) for k in keys)
+    # divided as a python float, which overflows to inf without a warning
+    if not math.isfinite(float(l1) / norm):
+        return 0.0, 0.0
+    return norm, l1 / norm
 
 
 def _overlay_get(overlay: dict[Edge, int], p: Node, q: Node) -> int:
@@ -463,8 +474,6 @@ class CSRRewiringCore:
             [self.target.get(int(k), 0.0) for k in ks.tolist()], dtype=np.float64
         )
 
-        self._norm = sum(self.target.values())
-
         index = self._index
         count = len(candidates)
         self._cand_u = np.fromiter(
@@ -480,8 +489,8 @@ class CSRRewiringCore:
         self._class_shift = np.zeros(K, dtype=np.float64)
 
         self._init_rows(csr)
-        self._distance = normalized_l1_distance(
-            self.clustering_by_degree(), self.target, self._norm
+        self._norm, self._distance = initial_distance(
+            self.clustering_by_degree(), self.target
         )
         self._stream = ProposalStream(rng, count)
 
@@ -525,7 +534,8 @@ class CSRRewiringCore:
             :class:`~repro.dk.rewiring.RewiringEngine`, which passes 0
             when the climb cannot move (fewer than two candidates, or a
             target whose sum cannot normalize a distance, see
-            :func:`can_normalize`).
+            :func:`can_normalize`).  A norm of 0 overrides it: the sum
+            cannot normalize this core's initial distance.
         patience:
             Stop after this many consecutive rejections, ``None`` to run
             the full budget.
@@ -539,6 +549,8 @@ class CSRRewiringCore:
         """
         from repro.dk.rewiring import RewiringReport
 
+        if not self._norm:
+            attempts = 0  # the target cannot normalize the distance
         initial = self._distance
         accepted = 0
         performed = 0

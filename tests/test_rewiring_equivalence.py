@@ -160,6 +160,24 @@ def test_subnormal_target_sum_is_handled_like_all_zero():
     assert tiny[2].accepted == 63
 
 
+def test_tiny_normal_target_sum_is_handled_like_all_zero():
+    # a normal sum can still overflow the distance it normalizes (an L1
+    # of 4.59 over 2.5e-308): both cores skip the climb, as for an
+    # all-zero target, and warn nothing
+    g = powerlaw_cluster_graph(300, 4, 0.6, rng=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        overflowing = run_both(g, {4: 2.5e-308}, seed=1, rc=5)
+        zero = run_both(g, {4: 0.0}, seed=1, rc=5)
+        tiny = run_both(g, {4: 1e-307}, seed=1, rc=5)
+    assert overflowing[2] == overflowing[3] == zero[2] == zero[3]
+    assert overflowing[2].attempts == 0
+    assert overflowing[2].initial_distance == 0.0
+    # a slightly larger sum still climbs
+    assert_equivalent(*tiny)
+    assert (tiny[2].accepted, tiny[2].attempts) == (311, 5920)
+
+
 def nonzero(delta):
     return {node: dt for node, dt in delta.items() if dt}
 
