@@ -24,6 +24,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from repro.engine.rewiring_kernels import canonical_edge
 from repro.graph.multigraph import MultiGraph, Node
 from repro.utils.rng import ensure_rng
 
@@ -72,7 +73,7 @@ def simplify_preserving_jdm(
     deg(u)`` for one of the defect's orientations (the JDM-preserving
     condition).  See the module docstring for the two modes.
 
-    ``protected_edges`` (canonical ``(min, max)`` pairs) are never consumed
+    ``protected_edges`` (pairs, spelled either way round) are never consumed
     as swap partners — the restoration pipeline passes the sampled
     subgraph's edges here so simplification cannot disturb the observed
     structure (defective copies themselves are never subgraph edges: the
@@ -83,7 +84,7 @@ def simplify_preserving_jdm(
     if initial == 0:
         return CleanupReport(0, 0, 0, 0)
 
-    protected = protected_edges or set()
+    protected = {canonical_edge(u, v) for u, v in protected_edges or ()}
     degrees = graph.degrees()
     swaps = 0
     attempts = 0
@@ -137,8 +138,7 @@ def _fix_one(
     for _ in range(partner_samples):
         tried += 1
         a, b = pool[rng.randrange(len(pool))]
-        key = (a, b) if _leq(a, b) else (b, a)
-        if key in protected and graph.multiplicity(a, b) <= 1:
+        if canonical_edge(a, b) in protected and graph.multiplicity(a, b) <= 1:
             continue  # the sole copy of a protected pair must survive
         if rng.random() < 0.5:
             a, b = b, a
@@ -186,10 +186,3 @@ def _swap_is_clean(
     if mult_av > 0:
         return False
     return True
-
-
-def _leq(a: Node, b: Node) -> bool:
-    """Total order on node ids (ints in practice; repr fallback otherwise)."""
-    if isinstance(a, int) and isinstance(b, int):
-        return a <= b
-    return repr(a) <= repr(b)

@@ -92,7 +92,7 @@ class RewiringEngine:
     target_clustering:
         ``{c̄^(k)}`` to approach (sparse; missing degrees mean target 0).
     protected_edges:
-        Canonical ``(min, max)`` pairs never to be removed (the sampled
+        Pairs never to be removed, spelled either way round (the sampled
         subgraph's edge set in the proposed method; empty for Gjoka et
         al.).  One candidate copy per parallel multiplicity beyond the
         protected copy remains rewireable.

@@ -173,11 +173,12 @@ def canonical_edge(u: Node, v: Node) -> Edge:
 def initial_candidates(graph: MultiGraph, protected: set[Edge]) -> list[Edge]:
     """Every edge copy except one protected copy per protected pair.
 
-    Iteration order is the graph's ``edges()`` order, which both backends
-    share — candidate *indices* drawn from the proposal stream must refer
-    to the same edge in either backend.
+    A protected pair may be spelled either way round.  Iteration order is
+    the graph's ``edges()`` order, which both backends share — candidate
+    *indices* drawn from the proposal stream must refer to the same edge
+    in either backend.
     """
-    remaining = dict.fromkeys(protected, 1)
+    remaining = {canonical_edge(u, v): 1 for u, v in protected}
     out: list[Edge] = []
     for u, v in graph.edges():
         key = canonical_edge(u, v)

@@ -69,6 +69,24 @@ class TestSimplify:
         simplify_preserving_jdm(g, rng=5)
         assert g.num_edges == m_before
 
+    def test_protected_pairs_survive_in_either_spelling(self):
+        source = configuration_model([4] * 10 + [2] * 20, rng=4)
+        single = sorted(
+            (min(u, v), max(u, v))
+            for u, v in source.edges()
+            if u != v and source.multiplicity(u, v) == 1
+        )
+        outcomes = []
+        for protected in (set(single), {(v, u) for u, v in single}):
+            g = source.copy()
+            report = simplify_preserving_jdm(
+                g, rng=5, strict_jdm=False, protected_edges=protected
+            )
+            assert all(g.has_edge(u, v) for u, v in single)
+            outcomes.append((report, sorted(g.edges())))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0].swaps > 0
+
     def test_on_2k_generated_graph(self, social_graph):
         g = generate_2k(social_graph, rng=6)
         jdm = joint_degree_matrix(g)

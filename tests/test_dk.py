@@ -20,6 +20,7 @@ from repro.dk.joint_degree_matrix import (
 )
 from repro.dk.rewiring import RewiringEngine
 from repro.errors import ConstructionError, RealizabilityError
+from repro.graph.generators import powerlaw_cluster_graph
 from repro.metrics.basic import degree_vector, joint_degree_matrix
 from repro.metrics.clustering import degree_dependent_clustering
 from repro.metrics.distance import normalized_l1
@@ -213,6 +214,14 @@ class TestRewiring:
         some = set(list(all_edges)[:50])
         engine = self._engine(g, {4: 0.5}, protected=some, rng=14)
         assert engine.num_candidates == g.num_edges - 50
+
+    def test_protected_pair_in_either_spelling(self):
+        g = powerlaw_cluster_graph(60, 3, 0.3, rng=1)
+        u, v = next(iter(g.edges()))
+        lo, hi = min(u, v), max(u, v)
+        for pair in ((lo, hi), (hi, lo)):
+            engine = self._engine(g.copy(), {3: 0.5}, protected={pair}, rng=14)
+            assert engine.num_candidates == g.num_edges - 1, pair
 
     def test_zero_target_short_circuits(self, social_graph):
         g = social_graph.copy()
