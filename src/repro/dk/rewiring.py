@@ -25,23 +25,25 @@ the benchmarks use).
 
 Backends
 --------
-:class:`RewiringEngine` runs on one of two interchangeable cores selected
-by ``backend``:
+This module is the facade; both cores live in
+:mod:`repro.engine.rewiring_kernels`.  :class:`RewiringEngine` runs on the
+one ``backend`` selects:
 
-* ``"python"`` — the reference dict-based core in this module: one
-  proposal at a time, scored by
+* ``"python"`` — :class:`~repro.engine.rewiring_kernels.PythonRewiringCore`,
+  the reference dict-based core: one proposal at a time, scored by
   :func:`~repro.engine.rewiring_kernels.proposal_triangle_deltas`.
-* ``"csr"`` — :class:`repro.engine.rewiring_kernels.CSRRewiringCore`:
-  proposals screened in vectorized numpy windows over an array adjacency,
-  with every potential accept confirmed by the reference's exact
-  ascending-class evaluation, so accepted swaps, reports, and the
+* ``"csr"`` — :class:`~repro.engine.rewiring_kernels.CSRRewiringCore`, the
+  reference core plus a screen: proposals screened in vectorized numpy
+  windows over an array adjacency, every potential accept scored by the
+  reference's distance rule and committed by its commit, corner and stale
+  rows sent to its ``_propose``, so accepted swaps, reports, and the
   resulting graph match the reference for a fixed seed.
 * ``"auto"`` — ``csr`` when the run's attempt budget ``R`` reaches
   ``AUTO_KERNEL_THRESHOLDS["rewiring"]`` (see :mod:`repro.engine.dispatch`),
   ``python`` otherwise.  The budget, not the graph's size, decides: the
   CSR core must pay back its construction and, after every accept, the
-  scalar replay of each window row that accept made stale, and a run of
-  few attempts never does.
+  replay of each window row that accept made stale, and a run of few
+  attempts never does.
 
 Both cores draw proposals from the shared
 :class:`~repro.engine.rewiring_kernels.ProposalStream` (blocked draws from
@@ -52,34 +54,20 @@ backends' proposal streams bit-compatible with each other.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from repro.engine.dispatch import resolve_backend
 from repro.engine.rewiring_kernels import (
     CSRRewiringCore,
-    ProposalStream,
+    PythonRewiringCore,
+    RewiringReport,
     can_normalize,
     initial_candidates,
-    initial_distance,
-    proposal_triangle_deltas,
 )
 from repro.graph.multigraph import MultiGraph, Node
-from repro.metrics.clustering import triangles_per_node
 
 Edge = tuple[Node, Node]
 
 DEFAULT_REWIRING_COEFFICIENT = 500  # RC in the paper (Section V-E, Ref. [26])
-
-
-@dataclass(frozen=True)
-class RewiringReport:
-    """Outcome of one rewiring run."""
-
-    attempts: int
-    accepted: int
-    initial_distance: float
-    final_distance: float
-    num_candidates: int
 
 
 class RewiringEngine:
@@ -146,7 +134,7 @@ class RewiringEngine:
         self._climbs = len(self._candidates) >= 2 and can_normalize(
             sum(self._target.values())
         )
-        self._core: _PythonRewiringCore | CSRRewiringCore | None = None
+        self._core: PythonRewiringCore | None = None
 
     # ------------------------------------------------------------------
     # public surface
@@ -196,17 +184,17 @@ class RewiringEngine:
             attempts = min(attempts, max_attempts)
         return attempts
 
-    def _default_core(self) -> _PythonRewiringCore | CSRRewiringCore:
+    def _default_core(self) -> PythonRewiringCore:
         return self._core_for(self._budget(DEFAULT_REWIRING_COEFFICIENT, None))
 
-    def _core_for(self, attempts: int) -> _PythonRewiringCore | CSRRewiringCore:
+    def _core_for(self, attempts: int) -> PythonRewiringCore:
         """The core, built on first use for a run of ``attempts``."""
         if self._core is None:
             self.backend = resolve_backend(
                 self._requested, size=attempts, kernel="rewiring"
             )
-            core: type[CSRRewiringCore | _PythonRewiringCore] = (
-                CSRRewiringCore if self.backend == "csr" else _PythonRewiringCore
+            core: type[PythonRewiringCore] = (
+                CSRRewiringCore if self.backend == "csr" else PythonRewiringCore
             )
             self._core = core(
                 self.graph,
@@ -219,162 +207,3 @@ class RewiringEngine:
             )
         return self._core
 
-
-class _PythonRewiringCore:
-    """The reference dict-based core (one proposal at a time)."""
-
-    def __init__(
-        self,
-        graph: MultiGraph,
-        target_clustering: dict[int, float],
-        candidates: list[Edge],
-        forbid_loops: bool,
-        forbid_parallel: bool,
-        rng: random.Random | int | None,
-        trace: list | None,
-    ) -> None:
-        self.graph = graph
-        self.target = dict(target_clustering)
-        self.forbid_loops = forbid_loops
-        self.forbid_parallel = forbid_parallel
-        self._trace = trace
-
-        self._degree: dict[Node, int] = graph.degrees()
-        self._class_size: dict[int, int] = {}
-        for k in self._degree.values():
-            self._class_size[k] = self._class_size.get(k, 0) + 1
-
-        # only the per-class triangle sums are tracked incrementally; the
-        # per-node counts are folded in once here and never needed again
-        self._class_tri: dict[int, float] = {}
-        for node, t in triangles_per_node(graph).items():
-            k = self._degree[node]
-            self._class_tri[k] = self._class_tri.get(k, 0.0) + t
-
-        self._candidates = candidates
-        self._norm, self._distance = initial_distance(
-            self.clustering_by_degree(), self.target
-        )
-        self._stream = ProposalStream(rng, len(candidates))
-
-    @property
-    def distance(self) -> float:
-        return self._distance
-
-    def run(self, attempts: int, patience: int | None) -> RewiringReport:
-        if not self._norm:
-            attempts = 0  # the target cannot normalize the distance
-        initial = self._distance
-        accepted = 0
-        performed = 0
-        stagnant = 0
-        for _ in range(attempts):
-            performed += 1
-            if self._attempt():
-                accepted += 1
-                stagnant = 0
-            else:
-                stagnant += 1
-                if patience is not None and stagnant >= patience:
-                    break
-        return RewiringReport(
-            attempts=performed,
-            accepted=accepted,
-            initial_distance=initial,
-            final_distance=self._distance,
-            num_candidates=len(self._candidates),
-        )
-
-    def clustering_by_degree(self) -> dict[int, float]:
-        out: dict[int, float] = {}
-        for k, size in self._class_size.items():
-            if k < 2:
-                out[k] = 0.0
-            else:
-                out[k] = 2.0 * self._class_tri.get(k, 0.0) / (size * k * (k - 1))
-        return out
-
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
-    def _attempt(self) -> int:
-        """One proposal; returns 1 when accepted."""
-        i1, c1, i2, c2 = self._stream.next()
-        cands = self._candidates
-        e1 = cands[i1]
-        # orient e1: the chosen side's degree must be matched by e2's side
-        if c1 < 0.5:
-            x, y = e1
-        else:
-            y, x = e1
-        kx = self._degree[x]
-
-        if i2 == i1:
-            return 0
-        a, b = cands[i2]
-        if self._degree[a] == kx and self._degree[b] == kx:
-            if c2 < 0.5:
-                a, b = b, a
-        elif self._degree[b] == kx:
-            a, b = b, a
-        elif self._degree[a] != kx:
-            return 0  # no endpoint of e2 matches deg(x): not a valid swap
-
-        # proposal: remove (x, y), (a, b); add (x, b), (a, y)
-        if x == a:
-            return 0  # identity swap
-        if self.forbid_loops and (x == b or a == y):
-            return 0
-        if self.forbid_parallel and (
-            self.graph.multiplicity(x, b) > 0 or self.graph.multiplicity(a, y) > 0
-        ):
-            # adding (x,b) when (x,b) already exists would create a parallel
-            # edge; the check is conservative for the x==b/a==y loop cases,
-            # which the loop guard above already rejected
-            return 0
-
-        delta_tri = proposal_triangle_deltas(self.graph, x, y, a, b)
-        new_distance = self._distance_after(delta_tri)
-        if new_distance >= self._distance:
-            return 0
-
-        # accept: mutate the graph, the bookkeeping, and the candidate list
-        self.graph.remove_edge(x, y)
-        self.graph.remove_edge(a, b)
-        self.graph.add_edge(x, b)
-        self.graph.add_edge(a, y)
-        for node, dt in delta_tri.items():
-            if dt:
-                k = self._degree[node]
-                self._class_tri[k] = self._class_tri.get(k, 0.0) + dt
-        self._distance = new_distance
-        cands[i1] = (x, b)
-        cands[i2] = (a, y)
-        if self._trace is not None:
-            self._trace.append((x, y, a, b))
-        return 1
-
-    def _distance_after(self, delta_tri: dict[Node, float]) -> float:
-        """Distance if ``delta_tri`` were applied (only affected classes
-        re-evaluated)."""
-        class_delta: dict[int, float] = {}
-        for node, dt in delta_tri.items():
-            if dt:
-                k = self._degree[node]
-                class_delta[k] = class_delta.get(k, 0.0) + dt
-        if not class_delta:
-            return self._distance
-        # ascending-class iteration: a canonical summation order that the
-        # CSR backend reproduces exactly from its per-class delta rows
-        dist = self._distance * self._norm
-        for k in sorted(class_delta):
-            dS = class_delta[k]
-            size = self._class_size[k]
-            if k < 2:
-                continue
-            denom = size * k * (k - 1)
-            old_c = 2.0 * self._class_tri.get(k, 0.0) / denom
-            new_c = 2.0 * (self._class_tri.get(k, 0.0) + dS) / denom
-            tgt = self.target.get(k, 0.0)
-            dist += abs(new_c - tgt) - abs(old_c - tgt)
-        return dist / self._norm

@@ -1,51 +1,55 @@
-"""Vectorized rewiring: batched proposal scoring on an array adjacency.
+"""The rewiring hill climb's two cores and what they share.
 
-The clustering-targeting hill climb (``dk/rewiring.py``, the paper's
-Algorithm 6) performs ``R = RC x |candidates|`` attempts, and profiling
-shows the pure-Python path spends its time in two places: drawing the
-proposal (three to four RNG calls) and scoring its triangle delta (dict
-intersections over four edge neighborhoods).  This module vectorizes both
-while keeping the hill climb's semantics — *accept iff the clustering
-distance strictly decreases, commit sequentially* — identical to the
-reference implementation:
+The clustering-targeting hill climb (the paper's Algorithm 6) performs
+``R = RC x |candidates|`` attempts and accepts a swap iff the clustering
+distance strictly decreases, committing sequentially.  Both cores live
+here; ``dk/rewiring.py`` keeps the user-facing
+:class:`~repro.dk.rewiring.RewiringEngine` facade, which picks one.
 
-``ProposalStream``
-    The RNG-driven proposal stream shared by **both** backends.  Per
-    attempt, four draws are taken from one :class:`numpy.random.Generator`
-    in fixed-size blocks — candidate index 1, orientation uniform,
-    candidate index 2, tie-break uniform.  The fourth draw is consumed
-    unconditionally (the reference needs it only when both endpoints of the
-    second edge match the pivot degree), which makes the stream independent
-    of graph state; that is what lets the CSR backend pre-draw whole blocks
-    and still stay bit-compatible with the Python backend, attempt by
-    attempt, for a fixed seed.
+``PythonRewiringCore``
+    The reference: one attempt at a time, by three rules.  ``_propose``
+    orients, validates and scores an attempt's draws; ``_distance_after``
+    is the distance rule, re-evaluating the degree classes a swap touches
+    in ascending class order; ``_accept`` commits to the graph, the
+    per-class triangle sums, the candidate list, the distance and the
+    trace.
 
 ``CSRRewiringCore``
-    Array-backed engine state: an incrementally-updated padded-CSR
-    adjacency (sorted neighbor/multiplicity rows with one capacity slot
-    per degree, so equal-degree swaps can never overflow a row), static
-    int arrays for degrees and degree classes, per-class sizes and
-    triangle sums, and the candidate edge list as two index arrays.
+    The reference core plus a screen.  It subclasses the reference, keeps
+    its state, rules and commit, and adds the array twins its screen
+    reads: an incrementally-updated padded-CSR adjacency (sorted
+    neighbor/multiplicity rows with one capacity slot per degree, so
+    equal-degree swaps can never overflow a row), degree classes,
+    per-class triangle sums and the candidate list as two index arrays.
     Proposals are screened in vectorized windows — batched candidate-pair
     gathers, degree-match orientation, loop/parallel rejection via a
     global-key multiplicity lookup, and triangle-delta scoring through
-    sorted-neighbor intersections bucketed by degree class.  A window
-    is only a *screen*: the first attempt whose screened distance could
-    beat the current one is re-evaluated exactly (the reference's
-    ascending-class arithmetic), so accepted swaps, their order, and the
-    stored distances match the Python backend.  After an accept the
-    window is patched only where that swap can reach: rows drawing a
-    rewritten candidate slot or sharing a node with the swap turn stale
-    and are replayed by the scalar reference path if the scan reaches
-    them, and the other rows' screened corrections are redone only for
-    their delta entries in the degree classes the swap changed.
+    sorted-neighbor intersections bucketed by degree class.  The scan
+    stops only where the screened distance could beat the current one:
+    there the row's exact class deltas go to the reference's distance
+    rule.  Corner rows (coincident endpoints) and rows an accept made
+    stale go to the reference's ``_propose``.  So accepted swaps, their
+    order and the stored distances are the reference's.  After an accept
+    the window is patched only where that swap can reach: rows drawing a
+    rewritten candidate slot or sharing a node with the swap turn stale,
+    and the other rows' screened corrections are redone only for their
+    delta entries in the degree classes the swap changed.
 
-The scalar scorer :func:`proposal_triangle_deltas` lives here, at module
-level, so both backends share one definition: a closed form over the
-common neighbors of the four pairs a swap touches when its endpoints are
-distinct, and the sequential overlay, the reference it must match, when
-they coincide.  ``dk/rewiring.py`` keeps the user-facing
-:class:`~repro.dk.rewiring.RewiringEngine` facade.
+``ProposalStream``
+    The RNG-driven proposal stream both cores draw from.  Per attempt,
+    four draws are taken from one :class:`numpy.random.Generator` in
+    fixed-size blocks — candidate index 1, orientation uniform, candidate
+    index 2, tie-break uniform.  The fourth draw is consumed
+    unconditionally (the reference needs it only when both endpoints of
+    the second edge match the pivot degree), which makes the stream
+    independent of graph state; that is what lets the CSR core pre-draw
+    whole blocks and still see the reference's draws, attempt by attempt,
+    for a fixed seed.
+
+The scalar scorer :func:`proposal_triangle_deltas` is a closed form over
+the common neighbors of the four pairs a swap touches when its endpoints
+are distinct, and the sequential overlay, the reference it must match,
+when they coincide.
 """
 
 from __future__ import annotations
@@ -53,6 +57,7 @@ from __future__ import annotations
 import math
 import random
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -377,9 +382,9 @@ def proposal_triangle_deltas(
     Swaps with four distinct endpoints, almost all of them, are scored in
     closed form; coincident endpoints (loops, ``y == b``, and ``x == b``
     or ``a == y`` when loops are allowed) by the sequential overlay.  The
-    nonzero entries are the overlay's either way.  The Python core calls
-    it for every valid proposal, the CSR core for corner-case proposals
-    and for window rows an accept made stale.
+    nonzero entries are the overlay's either way.  The reference's
+    ``_propose`` calls it for every valid proposal, so the CSR core
+    reaches it for corner rows and for window rows an accept made stale.
     """
     if len({x, y, a, b}) < 4:
         return _overlay_triangle_deltas(graph, x, y, a, b)
@@ -387,37 +392,32 @@ def proposal_triangle_deltas(
 
 
 # ----------------------------------------------------------------------
-# CSR rewiring core
+# reference rewiring core
 # ----------------------------------------------------------------------
-class _Window:
-    """Screening state of one stream window, patched in place per accept.
-
-    Rows are the window's attempts.  ``uv`` holds the screened rows'
-    nonzero per-class triangle deltas, ordered by row and then class, with
-    ``erow``/``ecls`` the row and class of each entry and
-    ``estart[r]:estart[r + 1]`` row ``r``'s slice; ``cs`` is each row's
-    screened distance change.  ``static_rows`` lists the rows that pass
-    the state-independent checks and ``static_nodes`` their ``x, y, a, b``
-    (one row each).  ``pending`` rows were made stale by an accept and are
-    replayed from their raw draws; ``interesting`` marks the rows the scan
-    stops at.
-    """
-
-    __slots__ = (
-        "i1", "c1", "i2", "c2", "x", "y", "a", "b", "corner",
-        "uv", "erow", "ecls", "estart", "cs",
-        "static_rows", "static_nodes", "pending", "interesting",
-    )
+#: A scored proposal: ``(x, y, a, b, new_distance, class_delta)`` for
+#: ``remove (x, y), (a, b); add (x, b), (a, y)``.
+Proposal = tuple[Node, Node, Node, Node, float, dict[int, float]]
 
 
-class CSRRewiringCore:
-    """Array-backed twin of the Python rewiring core.
+@dataclass(frozen=True)
+class RewiringReport:
+    """Outcome of one rewiring run."""
 
-    Holds the same logical state — adjacency, degrees, per-class sizes and
-    triangle sums, candidate list, current distance — as int/float arrays
-    keyed by positional node index, and mutates the caller's
-    :class:`MultiGraph` in lockstep so the final graph (and every scalar
-    fallback computation) is shared with the reference path.
+    attempts: int
+    accepted: int
+    initial_distance: float
+    final_distance: float
+    num_candidates: int
+
+
+class PythonRewiringCore:
+    """The reference dict-based core (one proposal at a time).
+
+    Its state is keyed by graph node: degrees, degree-class sizes and
+    triangle sums (the per-node counts are folded into the class sums once
+    and never needed again), the candidate edge list and the distance.  An
+    attempt is :meth:`_propose`, the accept test ``new_distance <
+    distance`` and, on accept, :meth:`_accept`.
     """
 
     def __init__(
@@ -435,69 +435,13 @@ class CSRRewiringCore:
         self.forbid_loops = forbid_loops
         self.forbid_parallel = forbid_parallel
         self._trace = trace
-
-        csr = ensure_csr(graph)
-        self._nodes = csr.node_list
-        self._index = csr.index
-        n = csr.num_nodes
-        self._n = n
-        deg = np.asarray(csr.degree_array(), dtype=np.int64)
-        self._deg = deg
-
-        # degree classes in first-occurrence (node-insertion) order, so the
-        # clustering dicts both backends build iterate identically
-        if n:
-            uniq, first = np.unique(deg, return_index=True)
-            ks = uniq[np.argsort(first, kind="stable")]
-        else:
-            ks = np.zeros(0, dtype=np.int64)
-        self._ks = ks
-        K = int(ks.size)
-        self._K = K
-        if n:
-            lut = np.full(int(deg.max()) + 1, -1, dtype=np.int64)
-            lut[ks] = np.arange(K, dtype=np.int64)
-            self._class_of = lut[deg]
-        else:
-            self._class_of = np.zeros(0, dtype=np.int64)
-        self._class_size = np.bincount(self._class_of, minlength=K).astype(np.int64)
-        tri = triangle_count_array(csr)
-        self._class_tri = np.bincount(
-            self._class_of, weights=tri, minlength=K
-        ).astype(np.float64)
-        self._cls_by_degree = {int(k): i for i, k in enumerate(ks.tolist())}
-
-        ksf = ks.astype(np.float64)
-        denom = self._class_size.astype(np.float64) * ksf * (ksf - 1.0)
-        self._k_scored = ks >= 2
-        self._denom_safe = np.where(self._k_scored, denom, 1.0)
-        self._target_arr = np.array(
-            [self.target.get(int(k), 0.0) for k in ks.tolist()], dtype=np.float64
-        )
-
-        index = self._index
-        count = len(candidates)
-        self._cand_u = np.fromiter(
-            (index[u] for u, _ in candidates), dtype=np.int64, count=count
-        )
-        self._cand_v = np.fromiter(
-            (index[v] for _, v in candidates), dtype=np.int64, count=count
-        )
-
-        # scratch for _patch_window, all clear between calls: the swap's
-        # nodes, and the triangle-sum change of each degree class
-        self._swap_mark = np.zeros(n, dtype=bool)
-        self._class_shift = np.zeros(K, dtype=np.float64)
-
-        self._init_rows(csr)
+        self._candidates = candidates
+        self._degree, self._class_size, self._class_tri = self._init_state()
         self._norm, self._distance = initial_distance(
             self.clustering_by_degree(), self.target
         )
-        self._stream = ProposalStream(rng, count)
+        self._stream = ProposalStream(rng, len(candidates))
 
-    # ------------------------------------------------------------------
-    # public surface (mirrors the Python core)
-    # ------------------------------------------------------------------
     @property
     def distance(self) -> float:
         """Current normalized L1 distance to the target clustering."""
@@ -506,26 +450,15 @@ class CSRRewiringCore:
     def clustering_by_degree(self) -> dict[int, float]:
         """Current ``{c̄(k)}`` from the incremental per-class state."""
         out: dict[int, float] = {}
-        sizes = self._class_size.tolist()
-        tris = self._class_tri.tolist()
-        for ci, k in enumerate(self._ks.tolist()):
+        for k, size in self._class_size.items():
             if k < 2:
                 out[k] = 0.0
             else:
-                out[k] = 2.0 * tris[ci] / (sizes[ci] * k * (k - 1))
+                out[k] = 2.0 * self._class_tri.get(k, 0.0) / (size * k * (k - 1))
         return out
 
-    def run(self, attempts: int, patience: int | None):
-        """The hill climb; same contract as the Python core's ``run``.
-
-        Attempts are processed in stream-block windows.  A window is
-        screened once (:meth:`_screen`) and then scanned in order, stopping
-        only at its *interesting* rows: potential accepts, corner cases and
-        rows an earlier accept made stale.  After an accepted swap,
-        :meth:`_patch_window` touches only the tail rows that swap can
-        change, so the work an accept costs scales with those rows, not
-        with the window — the expensive intersection work is never
-        repeated.
+    def run(self, attempts: int, patience: int | None) -> RewiringReport:
+        """The hill climb.
 
         Parameters
         ----------
@@ -544,19 +477,271 @@ class CSRRewiringCore:
         Returns
         -------
         RewiringReport
-            Identical — attempts, accepts, distances, trace — to the
-            Python core's report for the same seed, since both cores
-            consume the same blocked proposal stream.
+            The same for either core and a fixed seed, since both consume
+            the same blocked proposal stream under the same rules.
         """
-        from repro.dk.rewiring import RewiringReport
-
         if not self._norm:
             attempts = 0  # the target cannot normalize the distance
         initial = self._distance
+        performed, accepted = self._climb(attempts, patience)
+        return RewiringReport(
+            attempts=performed,
+            accepted=accepted,
+            initial_distance=initial,
+            final_distance=self._distance,
+            num_candidates=len(self._candidates),
+        )
+
+    # ------------------------------------------------------------------
+    # internals
+    # ------------------------------------------------------------------
+    def _init_state(
+        self,
+    ) -> tuple[dict[Node, int], dict[int, int], dict[int, float]]:
+        """Node degrees, degree-class sizes and per-class triangle sums."""
+        # the metrics modules import the engine, so this import waits
+        from repro.metrics.clustering import triangles_per_node
+
+        degree = self.graph.degrees()
+        class_size: dict[int, int] = {}
+        for k in degree.values():
+            class_size[k] = class_size.get(k, 0) + 1
+        class_tri: dict[int, float] = {}
+        for node, t in triangles_per_node(self.graph).items():
+            k = degree[node]
+            class_tri[k] = class_tri.get(k, 0.0) + t
+        return degree, class_size, class_tri
+
+    def _climb(self, attempts: int, patience: int | None) -> tuple[int, int]:
+        """``(performed, accepted)`` of up to ``attempts`` attempts."""
+        accepted = 0
+        performed = 0
+        stagnant = 0
+        draw = self._stream.next
+        for _ in range(attempts):
+            performed += 1
+            i1, c1, i2, c2 = draw()
+            proposal = self._propose(i1, c1, i2, c2)
+            if proposal is not None and proposal[4] < self._distance:
+                self._accept(i1, i2, *proposal)
+                accepted += 1
+                stagnant = 0
+            else:
+                stagnant += 1
+                if patience is not None and stagnant >= patience:
+                    break
+        return performed, accepted
+
+    def _propose(self, i1: int, c1: float, i2: int, c2: float) -> Proposal | None:
+        """Orient, validate and score one attempt's draws.
+
+        Returns ``None`` when the draws make no valid swap, else the swap
+        with its distance and its nonzero triangle changes summed by degree
+        class (in discovery order).
+        """
+        cands = self._candidates
+        degree = self._degree
+        # orient e1: the chosen side's degree must be matched by e2's side
+        if c1 < 0.5:
+            x, y = cands[i1]
+        else:
+            y, x = cands[i1]
+        kx = degree[x]
+
+        if i2 == i1:
+            return None
+        a, b = cands[i2]
+        if degree[a] == kx and degree[b] == kx:
+            if c2 < 0.5:
+                a, b = b, a
+        elif degree[b] == kx:
+            a, b = b, a
+        elif degree[a] != kx:
+            return None  # no endpoint of e2 matches deg(x): not a valid swap
+
+        # proposal: remove (x, y), (a, b); add (x, b), (a, y)
+        if x == a:
+            return None  # identity swap
+        if self.forbid_loops and (x == b or a == y):
+            return None
+        if self.forbid_parallel and (
+            self.graph.multiplicity(x, b) > 0 or self.graph.multiplicity(a, y) > 0
+        ):
+            # adding (x,b) when (x,b) already exists would create a parallel
+            # edge; the check is conservative for the x==b/a==y loop cases,
+            # which the loop guard above already rejected
+            return None
+
+        class_delta: dict[int, float] = {}
+        for node, dt in proposal_triangle_deltas(self.graph, x, y, a, b).items():
+            if dt:
+                k = degree[node]
+                class_delta[k] = class_delta.get(k, 0.0) + dt
+        return x, y, a, b, self._distance_after(class_delta), class_delta
+
+    def _distance_after(self, class_delta: dict[int, float]) -> float:
+        """Distance if the per-class triangle changes ``class_delta`` were
+        applied (only the classes they touch re-evaluated)."""
+        if not class_delta:
+            return self._distance
+        # ascending-class iteration: a canonical summation order, whichever
+        # order the changes were found in
+        dist = self._distance * self._norm
+        for k in sorted(class_delta):
+            if k < 2:
+                continue
+            denom = self._class_size[k] * k * (k - 1)
+            old_c = 2.0 * self._class_tri.get(k, 0.0) / denom
+            new_c = 2.0 * (self._class_tri.get(k, 0.0) + class_delta[k]) / denom
+            tgt = self.target.get(k, 0.0)
+            dist += abs(new_c - tgt) - abs(old_c - tgt)
+        return dist / self._norm
+
+    def _accept(
+        self,
+        i1: int,
+        i2: int,
+        x: Node,
+        y: Node,
+        a: Node,
+        b: Node,
+        new_distance: float,
+        class_delta: dict[int, float],
+    ) -> None:
+        """Commit a swap drawn from candidate slots ``i1`` and ``i2``: the
+        graph, the class sums, the candidate list, the distance, the trace."""
+        self.graph.remove_edge(x, y)
+        self.graph.remove_edge(a, b)
+        self.graph.add_edge(x, b)
+        self.graph.add_edge(a, y)
+        for k, dS in class_delta.items():
+            self._class_tri[k] = self._class_tri.get(k, 0.0) + dS
+        self._distance = new_distance
+        self._candidates[i1] = (x, b)
+        self._candidates[i2] = (a, y)
+        if self._trace is not None:
+            self._trace.append((x, y, a, b))
+
+
+# ----------------------------------------------------------------------
+# CSR rewiring core: the reference core plus a screen
+# ----------------------------------------------------------------------
+class _Window:
+    """Screening state of one stream window, patched in place per accept.
+
+    Rows are the window's attempts.  ``uv`` holds the screened rows'
+    nonzero per-class triangle deltas, ordered by row and then class, with
+    ``erow``/``ecls`` the row and class of each entry and
+    ``estart[r]:estart[r + 1]`` row ``r``'s slice; ``cs`` is each row's
+    screened distance change.  ``static_rows`` lists the rows that pass
+    the state-independent checks and ``static_nodes`` their ``x, y, a, b``
+    (one row each).  ``pending`` rows — corner cases the screen does not
+    score, and rows an accept made stale — go to the reference's
+    ``_propose`` from their raw draws; ``interesting`` marks the rows the
+    scan stops at.
+    """
+
+    __slots__ = (
+        "i1", "c1", "i2", "c2", "x", "y", "a", "b",
+        "uv", "erow", "ecls", "estart", "cs",
+        "static_rows", "static_nodes", "pending", "interesting",
+    )
+
+
+class CSRRewiringCore(PythonRewiringCore):
+    """The reference core plus a vectorized screen.
+
+    It keeps the reference's state, its rules (:meth:`_propose`,
+    :meth:`_distance_after`) and its commit (:meth:`_accept`), and adds the
+    array twins its screen reads, keyed by positional node index: a padded
+    CSR adjacency, degrees and degree classes, per-class triangle sums and
+    the candidate list as two index arrays.  An accept updates them with
+    the reference state.
+    """
+
+    def _init_state(
+        self,
+    ) -> tuple[dict[Node, int], dict[int, int], dict[int, float]]:
+        """Build the array state, and the reference's from its arrays."""
+        csr = ensure_csr(self.graph)
+        self._nodes = csr.node_list
+        self._index = csr.index
+        n = csr.num_nodes
+        self._n = n
+        deg = np.asarray(csr.degree_array(), dtype=np.int64)
+        self._deg = deg
+
+        # degree classes in first-occurrence (node-insertion) order, the
+        # order of the reference's class dicts
+        if n:
+            uniq, first = np.unique(deg, return_index=True)
+            ks = uniq[np.argsort(first, kind="stable")]
+        else:
+            ks = np.zeros(0, dtype=np.int64)
+        self._ks = ks
+        K = int(ks.size)
+        self._K = K
+        if n:
+            lut = np.full(int(deg.max()) + 1, -1, dtype=np.int64)
+            lut[ks] = np.arange(K, dtype=np.int64)
+            self._class_of = lut[deg]
+        else:
+            self._class_of = np.zeros(0, dtype=np.int64)
+        class_size = np.bincount(self._class_of, minlength=K)
+        self._class_sums = np.bincount(
+            self._class_of, weights=triangle_count_array(csr), minlength=K
+        ).astype(np.float64)
+        k_list = ks.tolist()
+        self._cls_by_degree = {k: i for i, k in enumerate(k_list)}
+
+        ksf = ks.astype(np.float64)
+        denom = class_size * ksf * (ksf - 1.0)
+        self._k_scored = ks >= 2
+        self._denom_safe = np.where(self._k_scored, denom, 1.0)
+        self._target_arr = np.array(
+            [self.target.get(k, 0.0) for k in k_list], dtype=np.float64
+        )
+
+        index = self._index
+        cands = self._candidates
+        self._cand_u = np.fromiter(
+            (index[u] for u, _ in cands), dtype=np.int64, count=len(cands)
+        )
+        self._cand_v = np.fromiter(
+            (index[v] for _, v in cands), dtype=np.int64, count=len(cands)
+        )
+
+        # scratch for _patch_window, all clear between calls: the swap's
+        # nodes, and the triangle-sum change of each degree class
+        self._swap_mark = np.zeros(n, dtype=bool)
+        self._class_shift = np.zeros(K, dtype=np.float64)
+
+        self._init_rows(csr)
+        return (
+            dict(zip(self._nodes, deg.tolist(), strict=True)),
+            dict(zip(k_list, class_size.tolist(), strict=True)),
+            dict(zip(k_list, self._class_sums.tolist(), strict=True)),
+        )
+
+    def _climb(self, attempts: int, patience: int | None) -> tuple[int, int]:
+        """The reference's attempt loop, a stream-block window at a time.
+
+        A window is screened once (:meth:`_screen`) and then scanned in
+        order, stopping only at its *interesting* rows: potential accepts,
+        corner cases and rows an earlier accept made stale.  A potential
+        accept's exact class deltas go to the reference's
+        :meth:`_distance_after`, the other rows to its :meth:`_propose`.
+        After an accepted swap, :meth:`_patch_window` touches only the tail
+        rows that swap can change, so the work an accept costs scales with
+        those rows, not with the window — the expensive intersection work
+        is never repeated.
+        """
         accepted = 0
         performed = 0
         stagnant = 0
         stopped = False
+        nodes = self._nodes
+        ks = self._ks
         # the screened sums are in unnormalized c-bar units (magnitude
         # O(1) regardless of norm), so the slack needs an absolute
         # floor: with a tiny norm, SCREEN_EPS * norm alone would drop
@@ -594,28 +779,30 @@ class CSRRewiringCore:
                 if q == W:
                     break  # window exhausted; consumed stays W
                 i1q, i2q = int(win.i1[q]), int(win.i2[q])
+                proposal: Proposal | None
                 if win.pending[q]:
-                    evaluated = self._scalar_attempt(
+                    proposal = self._propose(
                         i1q, float(win.c1[q]), i2q, float(win.c2[q])
                     )
                 else:
-                    nodes = (
-                        int(win.x[q]), int(win.y[q]), int(win.a[q]), int(win.b[q])
-                    )
-                    if win.corner[q]:
-                        scored = self._scalar_new_distance(*nodes)
-                    else:
-                        lo, hi = win.estart[q], win.estart[q + 1]
-                        scored = self._exact_from_entries(
-                            win.ecls[lo:hi], win.uv[lo:hi]
+                    # the entries' class deltas are integer-valued, so they
+                    # equal the sums _propose would find
+                    lo, hi = win.estart[q], win.estart[q + 1]
+                    class_delta = dict(
+                        zip(
+                            ks[win.ecls[lo:hi]].tolist(),
+                            win.uv[lo:hi].tolist(),
+                            strict=True,
                         )
-                    evaluated = nodes + scored
-                performed += 1
-                if evaluated is not None and evaluated[4] < self._distance:
-                    xq, yq, aq, bq, new_dist, class_delta = evaluated
-                    self._commit(
-                        i1q, i2q, xq, yq, aq, bq, new_dist, class_delta
                     )
+                    proposal = (
+                        nodes[win.x[q]], nodes[win.y[q]],
+                        nodes[win.a[q]], nodes[win.b[q]],
+                        self._distance_after(class_delta), class_delta,
+                    )
+                performed += 1
+                if proposal is not None and proposal[4] < self._distance:
+                    self._accept(i1q, i2q, *proposal)
                     accepted += 1
                     stagnant = 0
                     cursor = q + 1
@@ -623,8 +810,7 @@ class CSRRewiringCore:
                         consumed = cursor
                         break
                     self._patch_window(
-                        win, q, (xq, yq, aq, bq), (i1q, i2q), class_delta,
-                        thresh,
+                        win, q, proposal[:4], (i1q, i2q), proposal[5], thresh
                     )
                 else:
                     stagnant += 1
@@ -634,13 +820,43 @@ class CSRRewiringCore:
                         break
                     cursor = q + 1
             self._stream.consume(consumed)
-        return RewiringReport(
-            attempts=performed,
-            accepted=accepted,
-            initial_distance=initial,
-            final_distance=self._distance,
-            num_candidates=int(self._cand_u.size),
-        )
+        return performed, accepted
+
+    def _accept(
+        self,
+        i1: int,
+        i2: int,
+        x: Node,
+        y: Node,
+        a: Node,
+        b: Node,
+        new_distance: float,
+        class_delta: dict[int, float],
+    ) -> None:
+        """The reference's commit, then the rows, the class-sum array and
+        the candidate arrays."""
+        super()._accept(i1, i2, x, y, a, b, new_distance, class_delta)
+        index = self._index
+        px, py, pa, pb = index[x], index[y], index[a], index[b]
+        if len({px, py, pa, pb}) == 4:
+            # every node loses one neighbor copy and gains one: fused pass
+            self._row_replace(px, py, pb)
+            self._row_replace(py, px, pa)
+            self._row_replace(pa, pb, py)
+            self._row_replace(pb, pa, px)
+        else:
+            for u, v, dm in ((px, py, -1), (pa, pb, -1), (px, pb, +1), (pa, py, +1)):
+                if u == v:
+                    self._row_update(u, u, 2 * dm)
+                else:
+                    self._row_update(u, v, dm)
+                    self._row_update(v, u, dm)
+        for k, dS in class_delta.items():
+            self._class_sums[self._cls_by_degree[k]] += dS
+        self._cand_u[i1] = px
+        self._cand_v[i1] = pb
+        self._cand_u[i2] = pa
+        self._cand_v[i2] = py
 
     # ------------------------------------------------------------------
     # array adjacency (padded CSR rows, sorted by neighbor index)
@@ -782,7 +998,7 @@ class CSRRewiringCore:
         batched :meth:`_derive_sparse` call and a screened distance change
         ``cs``; a row is interesting when ``cs`` could beat the current
         distance (it has entries and ``cs < thresh``) or it is a corner
-        case for the scalar overlay.
+        case, which starts out pending for the reference's ``_propose``.
         """
         K = self._K
         W = int(i1.size)
@@ -798,19 +1014,18 @@ class CSRRewiringCore:
         win = _Window()
         win.i1, win.c1, win.i2, win.c2 = i1, c1, i2, c2
         win.x, win.y, win.a, win.b = x, y, a, b
-        win.corner = corner
         win.uv = uv
         win.erow = uk // K
         win.ecls = uk % K
         counts = np.bincount(win.erow, minlength=W)
         win.estart = np.zeros(W + 1, dtype=np.int64)
         np.cumsum(counts, out=win.estart[1:])
-        corr = self._entry_corr(win.ecls, uv, self._class_tri[win.ecls])
+        corr = self._entry_corr(win.ecls, uv, self._class_sums[win.ecls])
         win.cs = np.bincount(win.erow, weights=corr, minlength=W)
         rows = np.flatnonzero(static)
         win.static_rows = rows
         win.static_nodes = np.vstack((x[rows], y[rows], a[rows], b[rows]))
-        win.pending = np.zeros(W, dtype=bool)
+        win.pending = corner
         win.interesting = ((counts > 0) & (win.cs < thresh)) | corner
         return win
 
@@ -867,8 +1082,8 @@ class CSRRewiringCore:
         stays rejected until one of its candidate slots is rewritten;
         ``valid`` adds the parallel-edge test.  ``corner`` flags valid
         proposals with coincident endpoints, whose triangle deltas
-        interact across the four edge operations — those are scored by
-        the scalar overlay instead of the batched intersections.
+        interact across the four edge operations — those go to the
+        reference's ``_propose`` instead of the batched intersections.
         """
         cu, cv = self._cand_u, self._cand_v
         deg = self._deg
@@ -981,64 +1196,19 @@ class CSRRewiringCore:
         corr[~self._k_scored[cls]] = 0.0
         return corr
 
-    def _scalar_attempt(
-        self, i1: int, c1: float, i2: int, c2: float
-    ):
-        """Evaluate one attempt from its raw draws by the reference path.
-
-        Used for the window rows an earlier accept made ``pending`` (see
-        :meth:`_patch_window`): a row that draws a rewritten candidate slot
-        has stale endpoints, and a statically valid row sharing a node
-        with the swap may have a stale parallel-edge verdict and stale
-        delta entries, so the attempt is replayed exactly like the Python
-        backend's ``_attempt`` against the live graph.  Returns ``None``
-        for an invalid proposal, else ``(x, y, a, b, new_dist,
-        class_delta)``.
-        """
-        cu, cv = self._cand_u, self._cand_v
-        deg = self._deg
-        u1, v1 = int(cu[i1]), int(cv[i1])
-        x, y = (u1, v1) if c1 < 0.5 else (v1, u1)
-        kx = int(deg[x])
-        if i2 == i1:
-            return None
-        a, b = int(cu[i2]), int(cv[i2])
-        da, db = int(deg[a]), int(deg[b])
-        if da == kx and db == kx:
-            if c2 < 0.5:
-                a, b = b, a
-        elif db == kx:
-            a, b = b, a
-        elif da != kx:
-            return None
-        if x == a:
-            return None
-        if self.forbid_loops and (x == b or a == y):
-            return None
-        if self.forbid_parallel:
-            nl = self._nodes
-            graph = self.graph
-            if (
-                graph.multiplicity(nl[x], nl[b]) > 0
-                or graph.multiplicity(nl[a], nl[y]) > 0
-            ):
-                return None
-        new_dist, class_delta = self._scalar_new_distance(x, y, a, b)
-        return x, y, a, b, new_dist, class_delta
-
     def _patch_window(
         self,
         win: _Window,
         q: int,
-        swap: tuple[int, int, int, int],
+        swap: tuple[Node, ...],
         slots: tuple[int, int],
         class_delta: dict[int, float],
         thresh: float,
     ) -> None:
         """Update the window after the swap accepted at row ``q``.
 
-        A tail row turns ``pending`` — replayed exactly by
-        :meth:`_scalar_attempt` if the scan reaches it — when it draws
+        A tail row turns ``pending`` — replayed from its draws by the
+        reference's :meth:`_propose` if the scan reaches it — when it draws
         one of the two rewritten candidate ``slots``, or when it passed
         the state-independent checks and shares a node with ``swap``
         (found by marking the four nodes in a node-sized array).  A row
@@ -1055,9 +1225,10 @@ class CSRRewiringCore:
         stale = t0 + np.flatnonzero(moved)
         j = int(np.searchsorted(win.static_rows, t0))
         mark = self._swap_mark
-        mark[list(swap)] = True
+        swapped = [self._index[v] for v in swap]
+        mark[swapped] = True
         near = mark[win.static_nodes[:, j:]].any(axis=0)
-        mark[list(swap)] = False
+        mark[swapped] = False
         for rows in (stale, win.static_rows[j:][near]):
             win.pending[rows] = True
             win.interesting[rows] = True
@@ -1077,7 +1248,7 @@ class CSRRewiringCore:
         cls = win.ecls[ent]
         rows = win.erow[ent]
         v = win.uv[ent]
-        new = self._class_tri[cls]
+        new = self._class_sums[cls]
         # the triangle sums are integer-valued, so the pre-swap sum is exact
         old = new - shift[cls]
         shift[changed] = 0.0
@@ -1087,102 +1258,3 @@ class CSRRewiringCore:
             self._entry_corr(cls, v, new) - self._entry_corr(cls, v, old),
         )
         win.interesting[rows] = win.cs[rows] < thresh
-
-    # ------------------------------------------------------------------
-    # exact scalar evaluation + commit
-    # ------------------------------------------------------------------
-    def _exact_from_entries(
-        self, cls_arr: np.ndarray, val_arr: np.ndarray
-    ) -> tuple[float, dict[int, float]]:
-        """Reference-exact distance after a swap, from its delta entries.
-
-        The per-class triangle deltas are integer-valued and therefore
-        identical to the Python backend's ``class_delta`` sums; replaying
-        the reference's ascending-class accumulation over them reproduces
-        its ``_distance_after`` bit for bit, without re-walking the four
-        neighborhoods.
-        """
-        ks = self._ks
-        pairs = sorted(
-            (int(ks[ci]), float(v)) for ci, v in zip(cls_arr, val_arr, strict=True)
-        )
-        return self._eval_sorted(pairs), dict(pairs)
-
-    def _eval_sorted(self, pairs: list[tuple[int, float]]) -> float:
-        """Ascending-class distance accumulation (the reference's order)."""
-        dist = self._distance * self._norm
-        tri = self._class_tri
-        sizes = self._class_size
-        by_degree = self._cls_by_degree
-        target = self.target
-        for k, dS in pairs:
-            if k < 2:
-                continue
-            ci = by_degree[k]
-            denom = int(sizes[ci]) * k * (k - 1)
-            s = float(tri[ci])
-            old_c = 2.0 * s / denom
-            new_c = 2.0 * (s + dS) / denom
-            tgt = target.get(k, 0.0)
-            dist += abs(new_c - tgt) - abs(old_c - tgt)
-        return dist / self._norm
-
-    def _scalar_new_distance(
-        self, x: int, y: int, a: int, b: int
-    ) -> tuple[float, dict[int, float]]:
-        """Reference-exact distance after the swap (same ops, same order)."""
-        nl = self._nodes
-        delta = proposal_triangle_deltas(self.graph, nl[x], nl[y], nl[a], nl[b])
-        index = self._index
-        deg = self._deg
-        class_delta: dict[int, float] = {}
-        for node, dt in delta.items():
-            if dt:
-                k = int(deg[index[node]])
-                class_delta[k] = class_delta.get(k, 0.0) + dt
-        if not class_delta:
-            return self._distance, class_delta
-        pairs = sorted(class_delta.items())
-        return self._eval_sorted(pairs), class_delta
-
-    def _commit(
-        self,
-        pos1: int,
-        pos2: int,
-        x: int,
-        y: int,
-        a: int,
-        b: int,
-        new_dist: float,
-        class_delta: dict[int, float],
-    ) -> None:
-        """Apply an accepted swap to the graph, the arrays, the candidates."""
-        nl = self._nodes
-        X, Y, A, B = nl[x], nl[y], nl[a], nl[b]
-        g = self.graph
-        g.remove_edge(X, Y)
-        g.remove_edge(A, B)
-        g.add_edge(X, B)
-        g.add_edge(A, Y)
-        if len({x, y, a, b}) == 4:
-            # every node loses one neighbor copy and gains one: fused pass
-            self._row_replace(x, y, b)
-            self._row_replace(y, x, a)
-            self._row_replace(a, b, y)
-            self._row_replace(b, a, x)
-        else:
-            for u, v, dm in ((x, y, -1), (a, b, -1), (x, b, +1), (a, y, +1)):
-                if u == v:
-                    self._row_update(u, u, 2 * dm)
-                else:
-                    self._row_update(u, v, dm)
-                    self._row_update(v, u, dm)
-        for k, dS in class_delta.items():
-            self._class_tri[self._cls_by_degree[k]] += dS
-        self._distance = new_dist
-        self._cand_u[pos1] = x
-        self._cand_v[pos1] = b
-        self._cand_u[pos2] = a
-        self._cand_v[pos2] = y
-        if self._trace is not None:
-            self._trace.append((X, Y, A, B))
