@@ -53,6 +53,7 @@ backends' proposal streams bit-compatible with each other.
 
 from __future__ import annotations
 
+import math
 import random
 
 from repro.engine.dispatch import resolve_backend
@@ -63,6 +64,7 @@ from repro.engine.rewiring_kernels import (
     can_normalize,
     initial_candidates,
 )
+from repro.errors import ExperimentError
 from repro.graph.multigraph import MultiGraph, Node
 
 Edge = tuple[Node, Node]
@@ -163,8 +165,12 @@ class RewiringEngine:
         practical speedup toward the paper's "scalable restoration" future
         work; disabled by default for protocol fidelity).  Returns a
         report counting the attempts actually performed; the graph is
-        modified in place.
+        modified in place.  ``rc`` must be finite and non-negative
+        (:class:`~repro.errors.ExperimentError` otherwise); ``rc = 0`` is
+        a climb of no attempts.
         """
+        if not (math.isfinite(rc) and rc >= 0):
+            raise ExperimentError(f"rc must be a finite number >= 0, got {rc}")
         attempts = self._budget(rc, max_attempts)
         return self._core_for(attempts).run(attempts, patience)
 

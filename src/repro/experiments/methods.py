@@ -106,8 +106,6 @@ def run_methods_once(
     unknown = [m for m in methods if m not in METHOD_NAMES]
     if unknown:
         raise ExperimentError(f"unknown methods: {unknown}; known: {METHOD_NAMES}")
-    if not 0.0 < fraction <= 1.0:
-        raise ExperimentError(f"fraction must be in (0, 1], got {fraction}")
     r = ensure_rng(rng)
     target = crawl_budget(fraction, original.num_nodes)
     seed = GraphAccess(original).random_seed(r)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 
-from repro.errors import BudgetExhaustedError, SamplingError
+from repro.errors import BudgetExhaustedError, ExperimentError, SamplingError
 from repro.graph.multigraph import MultiGraph, Node
 from repro.utils.rng import ensure_rng
 
@@ -26,8 +26,11 @@ def crawl_budget(fraction: float, num_nodes: int) -> int:
     """Distinct nodes a crawl of ``fraction`` of ``num_nodes`` queries.
 
     The paper's "x% queried" stopping rule: ``fraction * num_nodes``
-    rounded, and never fewer than 3.
+    rounded, and never fewer than 3.  ``fraction`` must lie in ``(0, 1]``
+    (:class:`~repro.errors.ExperimentError` otherwise).
     """
+    if not 0.0 < fraction <= 1.0:
+        raise ExperimentError(f"fraction must be in (0, 1], got {fraction}")
     return max(3, int(round(fraction * num_nodes)))
 
 

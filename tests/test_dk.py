@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.dk.construction import build_graph_from_targets
@@ -19,7 +21,7 @@ from repro.dk.joint_degree_matrix import (
     symmetrize,
 )
 from repro.dk.rewiring import RewiringEngine
-from repro.errors import ConstructionError, RealizabilityError
+from repro.errors import ConstructionError, ExperimentError, RealizabilityError
 from repro.graph.generators import powerlaw_cluster_graph
 from repro.metrics.basic import degree_vector, joint_degree_matrix
 from repro.metrics.clustering import degree_dependent_clustering
@@ -235,6 +237,19 @@ class TestRewiring:
         engine = self._engine(g, target, rng=17)
         report = engine.run(rc=60)
         assert report.final_distance < report.initial_distance
+
+    @pytest.mark.parametrize("rc", [math.nan, math.inf, -1])
+    def test_bad_rewiring_coefficient_rejected(self, rc):
+        g = powerlaw_cluster_graph(60, 3, 0.3, rng=1)
+        engine = self._engine(g, {3: 0.5}, rng=18)
+        with pytest.raises(ExperimentError, match="rc must be"):
+            engine.run(rc=rc)
+
+    def test_zero_rewiring_coefficient_is_a_climb_of_no_attempts(self):
+        g = powerlaw_cluster_graph(60, 3, 0.3, rng=1)
+        engine = self._engine(g, {3: 0.5}, rng=18)
+        report = engine.run(rc=0)
+        assert (report.attempts, report.accepted) == (0, 0)
 
 
 class TestDkSeries:

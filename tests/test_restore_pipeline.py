@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.dk.joint_degree_matrix import check_joint_degree_matrix
+from repro.errors import ExperimentError
 from repro.graph.datasets import load_dataset
 from repro.metrics.basic import degree_vector, joint_degree_matrix
 from repro.metrics.suite import (
@@ -14,7 +15,7 @@ from repro.metrics.suite import (
     l1_distances,
 )
 from repro.restore.gjoka import gjoka_generate
-from repro.restore.restorer import restore_from_walk, restore_graph
+from repro.restore.restorer import restore_dataset, restore_from_walk, restore_graph
 from repro.sampling.access import GraphAccess
 from repro.sampling.walkers import random_walk
 
@@ -98,6 +99,14 @@ class TestProposedPipeline:
     def test_max_rewiring_attempts_cap(self, walk):
         res = restore_from_walk(walk, rc=1000, rng=34, max_rewiring_attempts=100)
         assert res.rewiring.attempts == 100
+
+    @pytest.mark.parametrize("fraction", [0.0, -0.2, 1.5])
+    def test_restore_dataset_rejects_out_of_range_fraction(self, fraction):
+        # the crawl budget is the one rule every crawl shares: it refuses
+        # the fraction before a 3-node crawl restores the whole graph
+        small = load_dataset("anybeat", scale=0.2)
+        with pytest.raises(ExperimentError, match="fraction"):
+            restore_dataset(small, fraction, rc=1.0, seed=1)
 
 
 class TestGjokaBaseline:
