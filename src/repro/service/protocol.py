@@ -25,6 +25,18 @@ two requests that *mean* the same thing normalize to the same object.
 that address is the key for both the server's response LRU cache and its
 request-coalescing table.
 
+Type rules
+----------
+:func:`normalize_request` also checks each value against its parameter's
+type, so a malformed request fails with a ``protocol`` error before any
+work, never with ``internal``.  ``op`` must be a string and ``dataset`` a
+string; ``methods`` null or a list of method names; a boolean parameter
+a boolean; an integer parameter (``max_rewiring_attempts`` too, unless
+null) an integer or an integral float, which becomes an int; any other
+numeric parameter a finite number.  Booleans are not numbers, and NaN and
+the infinities, which ``json.loads`` accepts, are rejected, in a frame's
+``timeout`` too.
+
 Error codes
 -----------
 :data:`ERROR_CODES` maps every class of the :class:`~repro.errors.ReproError`
@@ -38,6 +50,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 
 from repro import errors
 from repro.errors import ProtocolError, ReproError
@@ -129,7 +142,9 @@ def decode_frame(line: bytes | str) -> dict:
             raise ProtocolError(f"frame is not valid UTF-8: {exc}") from exc
     try:
         frame = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and an integer literal past
+        # the interpreter's digit limit; RecursionError, deep nesting
         raise ProtocolError(f"frame is not valid JSON: {exc}") from exc
     if not isinstance(frame, dict):
         raise ProtocolError(
@@ -196,16 +211,29 @@ PARAM_SPECS: dict[str, dict[str, object]] = {
 OPS: tuple[str, ...] = tuple(PARAM_SPECS)
 
 
+# The type of each parameter whose default is required or None, as a value
+# of that type for the rules in _coerce (None stays allowed where it is the
+# default).
+_TYPED: dict[str, object] = {
+    "dataset": "",
+    "methods": ["method"],
+    "max_rewiring_attempts": 0,
+}
+
+
 def normalize_request(op: str, params: dict | None) -> dict:
     """Validated params for ``op`` with every default filled in.
 
     Normalization is what makes content addressing work: a request that
     spells out a default and one that omits it produce the same object,
     hence the same cache/coalescing key.  Numeric values are coerced to
-    the default's type (``3`` and ``3.0`` must hash alike); unknown ops,
-    unknown params, and missing required params raise
+    the default's type (``3`` and ``3.0`` must hash alike); a non-string
+    or unknown op, unknown params, missing required params and a value of
+    the wrong type (the module docstring's type rules) raise
     :class:`ProtocolError`.
     """
+    if not isinstance(op, str):
+        raise ProtocolError(f"op must be a string, got {type(op).__name__}")
     spec = PARAM_SPECS.get(op)
     if spec is None:
         raise ProtocolError(f"unknown op {op!r}; expected one of {OPS}")
@@ -230,34 +258,46 @@ def normalize_request(op: str, params: dict | None) -> dict:
 
 
 def _coerce(op: str, name: str, value, default):
-    """Light type normalization against the spec default."""
+    """``value`` checked against, and coerced to, the default's type."""
+    if default is None and value is None:
+        return None
     if default is _REQUIRED or default is None:
-        if name == "methods" and value is not None:
-            if not isinstance(value, (list, tuple)) or not all(
-                isinstance(m, str) for m in value
-            ):
-                raise ProtocolError(f"{op}.{name} must be a list of method names")
-            return list(value)
-        return value
+        default = _TYPED[name]
     if isinstance(default, bool):
         if not isinstance(value, bool):
             raise ProtocolError(f"{op}.{name} must be a boolean")
         return value
-    if isinstance(default, int) and not isinstance(value, bool):
-        if isinstance(value, int):
-            return value
-        if isinstance(value, float) and value.is_integer():
-            return int(value)
-        raise ProtocolError(f"{op}.{name} must be an integer")
-    if isinstance(default, float):
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            return float(value)
-        raise ProtocolError(f"{op}.{name} must be a number")
     if isinstance(default, str):
         if not isinstance(value, str):
             raise ProtocolError(f"{op}.{name} must be a string")
         return value
-    return value
+    if isinstance(default, list):
+        if not isinstance(value, (list, tuple)) or not all(
+            isinstance(m, str) for m in value
+        ):
+            raise ProtocolError(f"{op}.{name} must be a list of method names")
+        return list(value)
+    if isinstance(default, int):
+        if isinstance(value, int) and not isinstance(value, bool):
+            return value
+        if isinstance(value, float) and value.is_integer():
+            return int(value)
+        raise ProtocolError(f"{op}.{name} must be an integer")
+    return finite_number(value, f"{op}.{name}")
+
+
+def finite_number(value, what: str) -> float:
+    """``value`` as a finite float; :class:`ProtocolError` for a boolean, a
+    non-number, NaN, an infinity or an integer too large for a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ProtocolError(f"{what} must be a number")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ProtocolError(f"{what} must be a finite number")
+    return number
 
 
 def request_key(op: str, params: dict) -> str:

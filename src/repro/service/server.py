@@ -50,6 +50,7 @@ from repro.service.protocol import (
     decode_frame,
     encode_frame,
     error_code,
+    finite_number,
     normalize_request,
     request_key,
 )
@@ -327,11 +328,7 @@ class ReproService:
         timeout = frame.get("timeout", self._default_timeout)
         if timeout is None:
             return None
-        if not isinstance(timeout, (int, float)) or isinstance(timeout, bool):
-            from repro.errors import ProtocolError
-
-            raise ProtocolError("timeout must be a number (seconds)")
-        return float(timeout)
+        return finite_number(timeout, "timeout")
 
     # ------------------------------------------------------------------
     # compute path: cache -> coalesce -> executor

@@ -11,6 +11,8 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import errors
 from repro.cli import main
@@ -62,6 +64,23 @@ EVAL_PARAMS = {
     "path_sources": 32,
     "betweenness_pivots": 16,
 }
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8,
+)
+PARAM_NAMES = sorted({name for spec in PARAM_SPECS.values() for name in spec})
+FUZZ_PARAMS = (
+    JSON_VALUES
+    | st.dictionaries(st.sampled_from(PARAM_NAMES), JSON_VALUES, max_size=6)
+    | st.fixed_dictionaries(
+        {"dataset": st.just("anybeat")},
+        optional={name: JSON_VALUES for name in PARAM_NAMES if name != "dataset"},
+    )
+)
 
 
 # ----------------------------------------------------------------------
@@ -119,6 +138,12 @@ class TestProtocol:
             decode_frame(b"[1, 2]")
         with pytest.raises(ProtocolError):
             decode_frame(b"\xff\xfe")
+        # an integer literal past the interpreter's digit limit, and nesting
+        # deeper than the decoder recurses, are malformed frames too
+        with pytest.raises(ProtocolError):
+            decode_frame(b'{"id": ' + b"1" * 5000 + b"}")
+        with pytest.raises(ProtocolError):
+            decode_frame(b"[" * 100_000)
 
     def test_normalize_fills_defaults(self):
         params = normalize_request("evaluate", {"dataset": "anybeat"})
@@ -184,6 +209,37 @@ class TestProtocol:
     def test_canonical_json_floats_round_trip(self):
         value = 0.5487502581155597
         assert canonical_json({"v": value}) == f'{{"v":{value!r}}}'
+
+    @given(
+        op=st.sampled_from(OPS) | JSON_VALUES,
+        params=FUZZ_PARAMS,
+        timeout=JSON_VALUES,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_request_decoding_fuzz(self, op, params, timeout):
+        """Arbitrary JSON as a frame's op, params and timeout decodes to a
+        request of the spec's types, or fails with a ProtocolError —
+        never with another exception, which the server reports as
+        ``internal``."""
+        line = json.dumps({"op": op, "params": params, "timeout": timeout})
+        try:
+            frame = decode_frame(line.encode("utf-8"))
+            normalized = normalize_request(frame["op"], frame["params"])
+            seconds = ReproService()._request_timeout(frame)
+        except ProtocolError:
+            return
+        assert seconds is None or math.isfinite(seconds)
+        assert json.loads(json.dumps(normalized, allow_nan=False)) == normalized
+        spec = PARAM_SPECS[frame["op"]]
+        for name, value in normalized.items():
+            if name == "dataset":
+                assert isinstance(value, str)
+            elif name == "methods":
+                assert value is None or all(isinstance(m, str) for m in value)
+            elif name == "max_rewiring_attempts":
+                assert value is None or type(value) is int
+            else:
+                assert type(value) is type(spec[name]), name
 
 
 # ----------------------------------------------------------------------
@@ -543,6 +599,64 @@ class TestServiceErrors:
         frame = asyncio.run(main())
         assert frame["event"] == "error"
         assert frame["error_code"] == "protocol"
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            b'{"op": ["restore"], "params": {"dataset": "anybeat"}}',
+            b'{"op": "restore", "params": {"dataset": ["anybeat"]}}',
+            b'{"op": "evaluate", "params": {"dataset": "anybeat", "scale": 0.12,'
+            b' "max_rewiring_attempts": "lots"}}',
+            b'{"op": "evaluate", "params": {"dataset": "anybeat", "scale": 0.12,'
+            b' "max_rewiring_attempts": 2.5}}',
+            b'{"op": "evaluate", "params": {"dataset": "anybeat", "scale": 0.12,'
+            b' "runs": 1, "methods": ["rw"], "max_rewiring_attempts": "lots"}}',
+            b'{"op": "restore", "params": {"dataset": "anybeat", "scale": 0.12,'
+            b' "rc": NaN}}',
+            b'{"op": "restore", "params": {"dataset": "anybeat", "scale": 0.12,'
+            b' "rc": Infinity}}',
+            b'{"op": "restore", "params": {"dataset": "anybeat", "scale": 0.12},'
+            b' "timeout": NaN}',
+        ],
+    )
+    def test_ill_typed_request_gets_protocol_error_frame(self, line):
+        # each frame once failed as `internal` or ran (and was cached) as
+        # a request it does not spell; it must fail before any work
+        async def main():
+            service = await _start_service(jobs=1)
+            reader, writer = await asyncio.open_connection(
+                service.host, service.port
+            )
+            writer.write(line + b"\n")
+            await writer.drain()
+            frame = decode_frame(await reader.readline())
+            while frame["event"] == "progress":
+                frame = decode_frame(await reader.readline())
+            writer.close()
+            await service.drain()
+            return frame, service.stats()
+
+        frame, stats = asyncio.run(main())
+        assert (frame["event"], frame["error_code"]) == ("error", "protocol")
+        assert stats["cache"]["misses"] == stats["cache"]["size"] == 0
+
+    def test_out_of_range_fraction_from_a_pool_worker_is_an_experiment_error(self):
+        # the crawl budget refuses the fraction inside a pool worker; the
+        # error must still reach the client with its own wire code
+        async def main():
+            service = await _start_service(jobs=2)
+            c = await AsyncServiceClient.connect(service.host, service.port)
+            frames = await c.request_frames(
+                "restore", {"dataset": "anybeat", "scale": 0.12, "fraction": -0.5}
+            )
+            await c.close()
+            await service.drain()
+            return frames
+
+        frames = asyncio.run(main())
+        assert frames[-1]["event"] == "error"
+        assert frames[-1]["error_code"] == "experiment"
+        assert "fraction" in frames[-1]["message"]
 
     def test_unknown_op_and_params_get_protocol_error(self):
         async def main():
