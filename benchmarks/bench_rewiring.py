@@ -29,7 +29,6 @@ Knobs (environment):
 
 from __future__ import annotations
 
-import math
 import os
 import time
 
@@ -58,11 +57,7 @@ def _timed_run(graph, target, backend, seed, attempts):
 
 
 def _assert_same(r_py, r_csr, g_py, g_csr):
-    assert r_py.accepted == r_csr.accepted, (r_py, r_csr)
-    assert r_py.attempts == r_csr.attempts, (r_py, r_csr)
-    assert math.isclose(
-        r_py.final_distance, r_csr.final_distance, rel_tol=1e-12, abs_tol=1e-15
-    ), (r_py, r_csr)
+    assert r_py == r_csr, (r_py, r_csr)
     for u in g_py.nodes():
         assert g_py.neighbor_multiplicities(u) == g_csr.neighbor_multiplicities(u)
 

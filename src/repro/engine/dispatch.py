@@ -44,10 +44,11 @@ BACKENDS: tuple[str, ...] = ("auto", "python", "csr")
 #: entry, ``rewiring``, is keyed on the run's attempt budget (``rc x
 #: |candidates|``, capped by ``max_attempts``), not on the graph: the CSR
 #: core must pay back its construction and, after every accepted swap, the
-#: scalar replay of each window row that swap made stale.  The calibration
-#: in ``benchmarks/bench_core_ops.py`` has put the break-even anywhere from
-#: ~10k to ~100k attempts: it moves with the share of attempts a climb
-#: accepts, and between reruns.
+#: reference replay of each window row that swap made stale.  Replayed on
+#: perfbench's whole cells (``benchmarks/bench_rewiring_climbs.py``), csr
+#: wins ``cell``'s large climbs and python ``sweep-pool``'s small ones; the
+#: single-climb calibration in ``benchmarks/bench_core_ops.py`` has put the
+#: break-even anywhere from ~10k to ~100k attempts, between reruns.
 AUTO_KERNEL_THRESHOLDS: dict[str, int] = {"rewiring": 20_000}
 
 _freeze_cache: "weakref.WeakKeyDictionary[MultiGraph, tuple[int, CSRGraph]]" = (
