@@ -263,6 +263,8 @@ def _coerce(op: str, name: str, value, default):
         return None
     if default is _REQUIRED or default is None:
         default = _TYPED[name]
+    if isinstance(default, float):
+        return finite_number(value, op, name)
     if isinstance(default, bool):
         if not isinstance(value, bool):
             raise ProtocolError(f"{op}.{name} must be a boolean")
@@ -277,26 +279,26 @@ def _coerce(op: str, name: str, value, default):
         ):
             raise ProtocolError(f"{op}.{name} must be a list of method names")
         return list(value)
-    if isinstance(default, int):
-        if isinstance(value, int) and not isinstance(value, bool):
-            return value
-        if isinstance(value, float) and value.is_integer():
-            return int(value)
-        raise ProtocolError(f"{op}.{name} must be an integer")
-    return finite_number(value, f"{op}.{name}")
+    # every other default is an integer
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ProtocolError(f"{op}.{name} must be an integer")
 
 
-def finite_number(value, what: str) -> float:
-    """``value`` as a finite float; :class:`ProtocolError` for a boolean, a
-    non-number, NaN, an infinity or an integer too large for a float."""
+def finite_number(value, *where: str) -> float:
+    """``value`` as a finite float; :class:`ProtocolError`, naming the value
+    by ``where`` joined with dots, for a boolean, a non-number, NaN, an
+    infinity or an integer too large for a float."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ProtocolError(f"{what} must be a number")
+        raise ProtocolError(f"{'.'.join(where)} must be a number")
     try:
         number = float(value)
     except OverflowError:
         number = math.inf
     if not math.isfinite(number):
-        raise ProtocolError(f"{what} must be a finite number")
+        raise ProtocolError(f"{'.'.join(where)} must be a finite number")
     return number
 
 
